@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/stack_eval.h"
 #include "dataset/pipeline.h"
 #include "dwarf/io.h"
 #include "frontend/corpus.h"
@@ -188,7 +189,14 @@ TEST(Hostile, DeepBlockNestingIsLimitExceeded) {
   EXPECT_EQ(Valid.error().code(), ErrorCode::LimitExceeded)
       << Valid.error().message();
   // Context chaining names the offending function.
-  EXPECT_NE(Valid.error().message().find("function 0"), std::string::npos);
+  EXPECT_EQ(Valid.error().message(),
+            "function 0: validation: control nesting deeper than 1024");
+  // Recorded verdict of the analysis typing API on the same body.
+  Result<void> Evaluated = analysis::evaluateFunction(M, 0);
+  ASSERT_TRUE(Evaluated.isErr());
+  EXPECT_EQ(Evaluated.error().code(), ErrorCode::LimitExceeded);
+  EXPECT_EQ(Evaluated.error().message(),
+            "analysis: control nesting deeper than 1024");
 }
 
 TEST(Hostile, InstructionAfterFinalEndIsMalformed) {
@@ -206,9 +214,14 @@ TEST(Hostile, InstructionAfterFinalEndIsMalformed) {
   ASSERT_TRUE(Valid.isErr());
   EXPECT_EQ(Valid.error().code(), ErrorCode::Malformed)
       << Valid.error().message();
-  EXPECT_NE(Valid.error().message().find("after function body end"),
-            std::string::npos)
-      << Valid.error().message();
+  EXPECT_EQ(Valid.error().message(),
+            "function 0: validation: instruction after function body end");
+  // Recorded verdict of the analysis typing API on the same body.
+  Result<void> Evaluated = analysis::evaluateFunction(M, 0);
+  ASSERT_TRUE(Evaluated.isErr());
+  EXPECT_EQ(Evaluated.error().code(), ErrorCode::Malformed);
+  EXPECT_EQ(Evaluated.error().message(),
+            "analysis: instruction after function body end");
 }
 
 // --- DWARF depth bomb ------------------------------------------------------

@@ -15,10 +15,12 @@
 //       analyzer (analysis::analyzeModule), which must never crash or hang.
 //
 //   snowwhite_fuzz --analysis [iterations] [seed]
-//       Differential fuzz of the two typing implementations: every mutant
-//       that parses runs wasm::validateFunction and analysis::evaluateFunction
-//       per function; any verdict divergence is a hard failure with a replay
-//       line. Surviving modules also run the full analyzer.
+//       Recorded-oracle fuzz of the typing APIs: every mutant that parses
+//       runs wasm::validateFunction and analysis::evaluateFunction per
+//       function, and for `--analysis 10000 1` the verdicts (code and full
+//       message) must equal tests/golden/typing_verdicts.txt; the first
+//       differing iteration and function is a hard failure. Surviving
+//       modules also run the full analyzer.
 //
 //   snowwhite_fuzz --fault-table [seed]
 //       Fault-injection sweep for EXPERIMENTS.md: corrupt a growing fraction
@@ -105,6 +107,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -229,12 +232,73 @@ int runFuzz(uint64_t Iterations, uint64_t Seed) {
   return 0;
 }
 
-/// Differential fuzz of the spec validator against the typed-stack
-/// evaluator. Each implementation is the other's oracle: a mutant function
-/// accepted by one and rejected by the other is a bug in one of them (this
-/// harness is how the memarg over-alignment gap in the original validator
-/// was found). Modules whose functions all validate then run the full
-/// analyzer, which must produce a summary for every defined function.
+/// Where `--analysis` finds its recorded typing verdicts.
+const std::string TypingVerdictsPath =
+    std::string(SNOWWHITE_GOLDEN_DIR) + "/typing_verdicts.txt";
+
+/// Verdict record of one `--analysis` run: a header line naming the stream
+/// and its totals, then one line per API per rejected function, in stream
+/// order. A function of a parsed mutant that is not listed was accepted by
+/// both APIs.
+struct TypingRecord {
+  std::string Header;
+  std::vector<std::string> Lines;
+
+  std::string text() const {
+    std::string Out =
+        "# Typing verdicts of `snowwhite_fuzz --analysis 10000 1`: every\n"
+        "# function of every parsed mutant is typed by wasm::validateFunction\n"
+        "# and analysis::evaluateFunction. Line format:\n"
+        "#   <iteration> <function> <api> <error-code> <full message>\n"
+        "# Functions not listed were accepted by both APIs.\n";
+    Out += Header + "\n";
+    for (const std::string &Line : Lines)
+      Out += Line + "\n";
+    return Out;
+  }
+};
+
+/// Splits a record file into its header and verdict lines.
+TypingRecord parseTypingRecord(const std::vector<uint8_t> &Bytes) {
+  TypingRecord Record;
+  std::string Text(Bytes.begin(), Bytes.end());
+  size_t Pos = 0;
+  while (Pos < Text.size()) {
+    size_t Eol = Text.find('\n', Pos);
+    if (Eol == std::string::npos)
+      Eol = Text.size();
+    std::string Line = Text.substr(Pos, Eol - Pos);
+    Pos = Eol + 1;
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    if (Record.Header.empty())
+      Record.Header = Line;
+    else
+      Record.Lines.push_back(Line);
+  }
+  return Record;
+}
+
+/// (iteration, function) of a verdict line; a missing line sorts last.
+std::pair<uint64_t, uint64_t> verdictKey(const std::string *Line) {
+  unsigned long long Iteration = UINT64_MAX, Function = UINT64_MAX;
+  if (Line)
+    std::sscanf(Line->c_str(), "%llu %llu", &Iteration, &Function);
+  return {Iteration, Function};
+}
+
+/// Recorded-oracle fuzz of the typing APIs. Every function of every parsed
+/// mutant is typed by wasm::validateFunction and analysis::evaluateFunction,
+/// and the verdicts (error code and full message included) must equal the
+/// record in tests/golden/typing_verdicts.txt. The record was taken while
+/// the two APIs were independent implementations, each the other's oracle
+/// (that differential is how the memarg over-alignment gap in the original
+/// validator was found). The record covers `--analysis 10000 1`; other
+/// (iterations, seed) pairs run unchecked. On a mismatch the observed
+/// record is written to typing_verdicts.actual.txt in the working directory,
+/// so an intended change is re-recorded by copying it over the golden.
+/// Modules whose functions all validate then run the full analyzer, which
+/// must produce a summary for every defined function.
 int runAnalysisFuzz(uint64_t Iterations, uint64_t Seed) {
   frontend::CorpusSpec Spec;
   Spec.NumPackages = 12;
@@ -246,6 +310,7 @@ int runAnalysisFuzz(uint64_t Iterations, uint64_t Seed) {
     return 1;
   }
 
+  TypingRecord Observed;
   uint64_t Parsed = 0, FunctionsChecked = 0, FunctionsRejected = 0,
            ModulesAnalyzed = 0, SummariesProduced = 0;
   for (uint64_t I = 0; I < Iterations; ++I) {
@@ -261,25 +326,21 @@ int runAnalysisFuzz(uint64_t Iterations, uint64_t Seed) {
     ++Parsed;
     bool AllFunctionsOk = true;
     for (uint32_t F = 0; F < Mod->Functions.size(); ++F) {
-      Result<void> Spec1 = wasm::validateFunction(*Mod, F);
-      Result<void> Spec2 = analysis::evaluateFunction(*Mod, F);
+      Result<void> Validated = wasm::validateFunction(*Mod, F);
+      Result<void> Evaluated = analysis::evaluateFunction(*Mod, F);
       ++FunctionsChecked;
-      if (Spec1.isOk() != Spec2.isOk()) {
-        std::fprintf(
-            stderr,
-            "FAIL: iteration %llu (seed %llu) function %u: validator says "
-            "%s (%s), evaluator says %s (%s)\n",
-            static_cast<unsigned long long>(I),
-            static_cast<unsigned long long>(Seed), F,
-            Spec1.isOk() ? "valid" : "invalid",
-            Spec1.isErr() ? Spec1.error().message().c_str() : "ok",
-            Spec2.isOk() ? "valid" : "invalid",
-            Spec2.isErr() ? Spec2.error().message().c_str() : "ok");
-        return 1;
-      }
-      if (Spec1.isErr())
+      std::string Key = std::to_string(I) + " " + std::to_string(F) + " ";
+      if (Validated.isErr())
+        Observed.Lines.push_back(Key + "validate " +
+                                 errorCodeName(Validated.error().code()) +
+                                 " " + Validated.error().message());
+      if (Evaluated.isErr())
+        Observed.Lines.push_back(Key + "evaluate " +
+                                 errorCodeName(Evaluated.error().code()) +
+                                 " " + Evaluated.error().message());
+      if (Validated.isErr() || Evaluated.isErr())
         ++FunctionsRejected;
-      AllFunctionsOk = AllFunctionsOk && Spec1.isOk();
+      AllFunctionsOk = AllFunctionsOk && Validated.isOk();
     }
     // The analyzer contract only covers validated modules; module-level
     // checks (types, exports, globals) still apply on top of the per-function
@@ -308,14 +369,63 @@ int runAnalysisFuzz(uint64_t Iterations, uint64_t Seed) {
       SummariesProduced += Summary->Functions.size();
     }
   }
+  Observed.Header = "iterations " + std::to_string(Iterations) + " seed " +
+                    std::to_string(Seed) + " parsed " +
+                    std::to_string(Parsed) + " functions " +
+                    std::to_string(FunctionsChecked) + " rejected " +
+                    std::to_string(FunctionsRejected);
 
-  std::printf("analysis fuzz: %llu iterations, 0 divergences\n"
+  const char *Checked = "unchecked (the record covers --analysis 10000 1)";
+  if (Iterations == 10000 && Seed == 1) {
+    Result<std::vector<uint8_t>> Bytes = io::readFileBytes(TypingVerdictsPath);
+    TypingRecord Recorded;
+    if (Bytes.isOk())
+      Recorded = parseTypingRecord(Bytes.value());
+    if (Recorded.Header != Observed.Header ||
+        Recorded.Lines != Observed.Lines) {
+      size_t Diff = 0;
+      while (Diff < Recorded.Lines.size() && Diff < Observed.Lines.size() &&
+             Recorded.Lines[Diff] == Observed.Lines[Diff])
+        ++Diff;
+      const std::string *Want =
+          Diff < Recorded.Lines.size() ? &Recorded.Lines[Diff] : nullptr;
+      const std::string *Got =
+          Diff < Observed.Lines.size() ? &Observed.Lines[Diff] : nullptr;
+      if (!Want && !Got) {
+        Want = &Recorded.Header;
+        Got = &Observed.Header;
+        std::fprintf(stderr, "FAIL: typing verdict totals differ from %s\n",
+                     TypingVerdictsPath.c_str());
+      } else {
+        auto [Iteration, Function] =
+            std::min(verdictKey(Want), verdictKey(Got));
+        std::fprintf(stderr,
+                     "FAIL: typing verdicts differ from %s, first at "
+                     "iteration %llu function %llu\n",
+                     TypingVerdictsPath.c_str(),
+                     static_cast<unsigned long long>(Iteration),
+                     static_cast<unsigned long long>(Function));
+      }
+      std::fprintf(stderr, "  recorded: %s\n  observed: %s\n",
+                   Want ? Want->c_str() : "(no line)",
+                   Got ? Got->c_str() : "(no line)");
+      std::string Text = Observed.text();
+      io::writeFileAtomic("typing_verdicts.actual.txt",
+                          std::vector<uint8_t>(Text.begin(), Text.end()));
+      std::fprintf(stderr,
+                   "  observed record written to typing_verdicts.actual.txt\n");
+      return 1;
+    }
+    Checked = "match the record";
+  }
+
+  std::printf("analysis fuzz: %llu iterations, verdicts %s\n"
               "  parsed               %llu\n"
               "  functions checked    %llu\n"
               "  functions rejected   %llu\n"
               "  modules analyzed     %llu\n"
               "  summaries produced   %llu\n",
-              static_cast<unsigned long long>(Iterations),
+              static_cast<unsigned long long>(Iterations), Checked,
               static_cast<unsigned long long>(Parsed),
               static_cast<unsigned long long>(FunctionsChecked),
               static_cast<unsigned long long>(FunctionsRejected),
