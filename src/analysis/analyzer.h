@@ -1,7 +1,10 @@
 //===- analysis/analyzer.h - Module-level dataflow analysis driver --------===//
 //
 // Drives the typed-stack evaluator (stack_eval.h) to produce evidence
-// summaries (evidence.h) for every defined function of a validated module:
+// summaries (evidence.h) for every defined function of a module. Modules
+// need not be validated first: the evaluator is the typing engine behind
+// wasm::validateFunction, so an ill-typed body is rejected with a
+// taxonomy-coded error, never asserted, and yields no evidence.
 //
 //  1. Per function, iterate evaluateFunction with loop-carry state until the
 //     back-edge local tags stabilize (bounded by MaxFixpointPasses — the tag
@@ -63,13 +66,14 @@ struct LocalDefUse {
 };
 
 /// Computes def-use chains for defined function DefinedIndex. Fails only on
-/// out-of-range indices (callers analyze validated modules).
+/// out-of-range indices; local indices past the function's locals (possible
+/// in an untyped body) are skipped.
 Result<LocalDefUse> computeDefUse(const wasm::Module &M,
                                   uint32_t DefinedIndex);
 
 /// Analyzes one defined function (fixpoint + evidence collection). The
-/// module must already be validated; a typing error inside the evaluator is
-/// reported, never asserted.
+/// module need not be validated: a typing error is reported, never
+/// asserted, and such a function gets no summary.
 Result<FunctionSummary> analyzeFunction(const wasm::Module &M,
                                         uint32_t DefinedIndex,
                                         const AnalyzeOptions &Options = {});
@@ -77,7 +81,7 @@ Result<FunctionSummary> analyzeFunction(const wasm::Module &M,
 /// Analyzes every defined function and closes the summaries over the direct
 /// call graph. Runs in time linear in the module size (times the small
 /// fixpoint caps); never allocates more than O(functions + params) summary
-/// state.
+/// state. Fails, naming the function, if any function fails analysis.
 Result<ModuleSummary> analyzeModule(const wasm::Module &M,
                                     const AnalyzeOptions &Options = {});
 

@@ -1,6 +1,6 @@
 #include "analysis/cfg.h"
 
-#include "analysis/eval_core.h"
+#include "wasm/typing.h"
 
 #include <algorithm>
 #include <limits>
@@ -192,10 +192,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     switch (Ins.Op) {
     case Opcode::Block:
     case Opcode::Loop: {
-      if (Frames.size() >= detail::MaxControlNesting)
+      if (Frames.size() >= wasm::MaxControlNesting)
         return Error(ErrorCode::LimitExceeded,
                      "analysis: control nesting deeper than " +
-                         std::to_string(detail::MaxControlNesting));
+                         std::to_string(wasm::MaxControlNesting));
       Frames.push_back(OpenFrame{Ins.Op, I, NoEdge, {}});
       if (I + 1 < N)
         addFallTo(BId, I + 1,
@@ -204,10 +204,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
       break;
     }
     case Opcode::If: {
-      if (Frames.size() >= detail::MaxControlNesting)
+      if (Frames.size() >= wasm::MaxControlNesting)
         return Error(ErrorCode::LimitExceeded,
                      "analysis: control nesting deeper than " +
-                         std::to_string(detail::MaxControlNesting));
+                         std::to_string(wasm::MaxControlNesting));
       OpenFrame F{Opcode::If, I, NoEdge, {}};
       F.IfFalseEdge = addEdge(BId, NoBlock, EdgeKind::IfFalse, false);
       Frames.push_back(std::move(F));
@@ -391,10 +391,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     // The frame-stack cap above already bounds loop nesting (a natural loop
     // needs an open `loop` frame), but keep the taxonomy-coded guard
     // explicit like every other untrusted-input limit.
-    if (Cfg.MaxLoopDepth > detail::MaxControlNesting)
+    if (Cfg.MaxLoopDepth > wasm::MaxControlNesting)
       return Error(ErrorCode::LimitExceeded,
                    "analysis: loop nesting deeper than " +
-                       std::to_string(detail::MaxControlNesting));
+                       std::to_string(wasm::MaxControlNesting));
   }
 
   // --- Dominates-exit: the idom chain of the synthetic exit is exactly the
@@ -442,14 +442,14 @@ Result<CarryFixpoint> runCarryFixpoint(const Module &M, uint32_t DefinedIndex,
   // body index (== the carry key). A snapshot taken in round r stays valid
   // until some *earlier* loop's carry changes — and that always triggers a
   // resume at or before it, overwriting it.
-  std::map<size_t, detail::Evaluator::Snapshot> HeaderSnaps;
+  std::map<size_t, wasm::TypingEngine::Snapshot> HeaderSnaps;
   size_t StartInstr = 0;
   while (Fix.Rounds < MaxPasses) {
     LoopCarry Out;
     EvalOptions Opts;
     Opts.LoopCarryIn = Fix.Rounds == 0 ? nullptr : &Fix.Carry;
     Opts.LoopCarryOut = &Out;
-    detail::Evaluator E(M, Func, Type, nullptr, Opts);
+    wasm::TypingEngine E(M, Func, Type, "analysis: ", nullptr, Opts);
     if (StartInstr == 0) {
       E.prepare();
     } else {

@@ -20,7 +20,7 @@
 //    snapshotted at every loop header, and each round after the first
 //    resumes from the earliest loop whose carry changed. Its rounds, carry
 //    map, and therefore every downstream evidence summary are bit-identical
-//    to the legacy fixpoint by construction (same Evaluator core, and skipped
+//    to the legacy fixpoint by construction (same typing engine, and skipped
 //    prefixes can only re-merge values that are already in the carry — the
 //    tag join is idempotent). `snowwhite_fuzz --cfg` and the cfg tests
 //    differentially enforce this.

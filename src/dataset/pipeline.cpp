@@ -136,9 +136,11 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
 
   // --- Stage 1b: dataflow analysis over kept binaries ---------------------
   // Summaries are a pure function of the module bytes, so per-binary slots
-  // keep the results thread-count invariant. Analysis failure on a binary
-  // that already passed validation is unexpected but non-fatal: the binary
-  // simply contributes samples without evidence.
+  // keep the results thread-count invariant. Ingest never calls
+  // wasm::validateModule: the analyzer's typing pass is the only typing an
+  // ingested body gets. A binary with an ill-typed body therefore fails
+  // analysis, which is non-fatal: it simply contributes samples without
+  // evidence.
   BeginStage("ingest.analysis");
   bool WantEvidence = Options.ComputeEvidence || Options.Extract.EvidenceTokens;
   std::vector<std::optional<analysis::ModuleSummary>> Summaries(
@@ -153,8 +155,9 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
 
   // Control-flow path tokens are per function (every query against the same
   // function shares them), so they are computed once here, not per sample.
-  // A CFG build failure on a validated binary is unexpected but non-fatal:
-  // the function's samples simply carry no path tokens.
+  // Bodies here are untyped (see above); buildCfg's structural guards keep
+  // the build total, and a CFG build failure is non-fatal: the function's
+  // samples simply carry no path tokens.
   bool WantPaths = Options.Extract.PathTokens;
   std::vector<std::vector<std::vector<std::string>>> PathsPerBinary(
       WantPaths ? Kept.size() : 0);

@@ -2,8 +2,10 @@
 //
 // Type-checks function bodies per the WebAssembly 1.0 validation algorithm
 // (value stack + control frame stack, with stack-polymorphic unreachable
-// code). The synthetic frontend must only ever produce valid modules; tests
-// assert this property over large generated corpora.
+// code) by running the typing engine (typing.h) with nothing attached, and
+// checks the module-level index-space invariants. The synthetic frontend
+// must only ever produce valid modules; tests assert this property over
+// large generated corpora.
 //
 //===----------------------------------------------------------------------===//
 
