@@ -137,8 +137,9 @@ struct FunctionSummary {
   bool HasReturn = false;
   ReturnEvidence Ret;
   /// False when tag tracking was disabled (MaxTrackedLocals exceeded) — the
-  /// counters are then all zero and consumers must not treat absence of
-  /// evidence as evidence of absence.
+  /// parameter counters are then all zero (return origins still come from
+  /// result tags), queryEvidence reports nothing for the function, and
+  /// consumers must not treat absence of evidence as evidence of absence.
   bool TagsTracked = true;
   /// Fixpoint passes the loop-carry iteration took to stabilize (or the cap).
   uint32_t FixpointPasses = 0;
