@@ -114,6 +114,36 @@ Result<std::vector<uint8_t>> readFileChecksummed(const std::string &Path,
   return Bytes;
 }
 
+std::string RecordFile::text(const std::string &Comment) const {
+  std::string Out = Comment + Header + "\n";
+  for (const std::string &Line : Lines)
+    Out += Line + "\n";
+  return Out;
+}
+
+RecordFile readRecordFile(const std::string &Path) {
+  RecordFile Record;
+  Result<std::vector<uint8_t>> Bytes = readFileBytes(Path);
+  if (Bytes.isErr())
+    return Record;
+  std::string Text(Bytes->begin(), Bytes->end());
+  size_t Pos = 0;
+  while (Pos < Text.size()) {
+    size_t Eol = Text.find('\n', Pos);
+    if (Eol == std::string::npos)
+      Eol = Text.size();
+    std::string Line = Text.substr(Pos, Eol - Pos);
+    Pos = Eol + 1;
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    if (Record.Header.empty())
+      Record.Header = Line;
+    else
+      Record.Lines.push_back(std::move(Line));
+  }
+  return Record;
+}
+
 Result<size_t> MemoryByteSource::readSome(uint8_t *Buf, size_t Max) {
   size_t Give = std::min({Max, ChunkBytes, Bytes.size() - Offset});
   if (Give > 0) {

@@ -57,6 +57,20 @@ Result<std::vector<uint8_t>>
 readFileChecksummed(const std::string &Path,
                     fault::FaultInjector *Faults = nullptr);
 
+/// A recorded-oracle file (tests/golden/*.txt): '#' comment lines, one
+/// header line naming the recorded run and its totals, then one line per
+/// recorded verdict.
+struct RecordFile {
+  std::string Header;
+  std::vector<std::string> Lines;
+
+  /// The file text: Comment (already '#'-prefixed), header, lines.
+  std::string text(const std::string &Comment) const;
+};
+
+/// Reads a record file; a missing or unreadable file reads as empty.
+RecordFile readRecordFile(const std::string &Path);
+
 /// Pull-based byte stream for section-wise decoding. A consumer that only
 /// ever asks for "up to N more bytes" never forces the producer to
 /// materialize the whole input, so multi-gigabyte modules decode within a
