@@ -6,10 +6,12 @@
 // wasm::validateFunction, so an ill-typed body is rejected with a
 // taxonomy-coded error, never asserted, and yields no evidence.
 //
-//  1. Per function, iterate evaluateFunction with loop-carry state until the
-//     back-edge local tags stabilize (bounded by MaxFixpointPasses — the tag
-//     lattice has finite height, so this converges quickly in practice), then
-//     run one final pass with the EvidenceCollector sink attached.
+//  1. Per function, run the loop-carry fixpoint (cfg.h: runCarryFixpoint)
+//     until the back-edge local tags stabilize (bounded by
+//     MaxFixpointPasses — the tag lattice has finite height, so this
+//     converges quickly in practice). Its first round also builds the
+//     function's CFG, which gives the must-execute mask. Then run one final
+//     pass with the EvidenceCollector sink attached.
 //  2. Build the direct-call graph and propagate "callee dereferences /
 //     stores through its formal" facts bottom-up (bounded by
 //     MaxCallGraphPasses for cyclic graphs).
@@ -23,12 +25,14 @@
 #ifndef SNOWWHITE_ANALYSIS_ANALYZER_H
 #define SNOWWHITE_ANALYSIS_ANALYZER_H
 
+#include "analysis/cfg.h"
 #include "analysis/evidence.h"
 #include "analysis/stack_eval.h"
 #include "support/result.h"
 #include "wasm/module.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace snowwhite {
@@ -41,22 +45,6 @@ inline constexpr uint32_t MaxFixpointPasses = 8;
 
 /// Bottom-up call-graph propagation cap (handles recursion cycles).
 inline constexpr uint32_t MaxCallGraphPasses = 16;
-
-/// Which machinery hosts the per-function loop-carry fixpoint. Both engines
-/// produce bit-identical summaries (same Evaluator core, same rounds — see
-/// analysis/cfg.h); BodyRerun is kept as the differential baseline for tests
-/// and `snowwhite_fuzz --cfg`.
-enum class FixpointEngine : uint8_t {
-  /// Worklist over the explicit CFG: rounds resume from the earliest loop
-  /// header whose carry changed instead of re-running the whole body.
-  CfgWorklist,
-  /// Legacy engine: re-run evaluateFunction over the full body each round.
-  BodyRerun,
-};
-
-struct AnalyzeOptions {
-  FixpointEngine Engine = FixpointEngine::CfgWorklist;
-};
 
 /// Per-local def-use chains for one function: body indices of instructions
 /// writing (local.set/tee) and reading (local.get) each local.
@@ -75,15 +63,19 @@ Result<LocalDefUse> computeDefUse(const wasm::Module &M,
 /// module need not be validated: a typing error is reported, never
 /// asserted, and such a function gets no summary.
 Result<FunctionSummary> analyzeFunction(const wasm::Module &M,
-                                        uint32_t DefinedIndex,
-                                        const AnalyzeOptions &Options = {});
+                                        uint32_t DefinedIndex);
+
+/// Receives each function's CFG as analyzeModule finishes with it. The
+/// graph is dropped when the call returns.
+using CfgVisitor = std::function<void(const ControlFlowGraph &)>;
 
 /// Analyzes every defined function and closes the summaries over the direct
 /// call graph. Runs in time linear in the module size (times the small
 /// fixpoint caps); never allocates more than O(functions + params) summary
-/// state. Fails, naming the function, if any function fails analysis.
+/// state. OnCfg, when set, sees each function's CFG, built once inside the
+/// fixpoint. Fails, naming the function, if any function fails analysis.
 Result<ModuleSummary> analyzeModule(const wasm::Module &M,
-                                    const AnalyzeOptions &Options = {});
+                                    const CfgVisitor &OnCfg = {});
 
 /// Evidence lookup for one prediction query: ParamIndex >= 0 selects a
 /// parameter, ParamIndex < 0 the return slot. Returns an empty QueryEvidence

@@ -1,8 +1,7 @@
 //===- analysis/cfg.h - Per-function control-flow graph --------------------===//
 //
-// An explicit control-flow graph over a WebAssembly function body, derived
-// from the same control-frame discipline the typed-stack evaluator
-// (stack_eval.cpp) walks implicitly. It is the shared analysis IR:
+// An explicit control-flow graph over a WebAssembly function body. It is
+// the shared analysis IR:
 //
 //  * basic blocks partition the body in body order (every control
 //    instruction is its own single-instruction block; straight-line runs
@@ -14,23 +13,21 @@
 //    (a property the test suite checks on every corpus function);
 //  * an iterative dominator tree (Cooper-Harvey-Kennedy over RPO), natural
 //    loops from back edges, and a per-block dominates-exit bit that powers
-//    the path-sensitive ("must") evidence used by the serving gate;
-//  * a CFG-hosted loop-carry fixpoint (runCarryFixpoint) that replaces the
-//    analyzer's re-run-the-whole-body rounds: the machine state is
-//    snapshotted at every loop header, and each round after the first
-//    resumes from the earliest loop whose carry changed. Its rounds, carry
-//    map, and therefore every downstream evidence summary are bit-identical
-//    to the legacy fixpoint by construction (same typing engine, and skipped
-//    prefixes can only re-merge values that are already in the carry — the
-//    tag join is idempotent). `snowwhite_fuzz --cfg` and the cfg tests
-//    differentially enforce this.
+//    the path-sensitive ("must") evidence used by the serving gate.
 //
-// Construction mirrors the evaluator's structural rejections exactly (same
-// taxonomy codes, same bounded-nesting cap): buildCfg never rejects a body
-// the evaluator accepts, and anything buildCfg accepts but the evaluator
-// rejects is caught by the fixpoint rounds, which execute the evaluator
-// core — so the accept/reject verdict of the CFG-hosted analysis equals the
-// evaluator's on every input.
+// There is one control walk: the edges come from the typing engine's frame
+// stack (wasm/typing.h), read after each step of a typing pass, so the CFG
+// has no frame discipline or rejections of its own. buildCfg drives a bare
+// engine and accepts exactly what evaluateFunction accepts, with the same
+// code and message.
+//
+// runCarryFixpoint is the analyzer's loop-carry fixpoint: the machine state
+// is snapshotted at every `loop`, and each round after the first resumes
+// from the earliest loop whose carry changed (skipped prefixes could only
+// re-merge values already in the carry — the tag join is idempotent — so
+// the rounds and carry equal re-running the whole body). Its first round
+// builds the CFG on the way, so analysis builds each function's CFG once.
+// tests/golden/evidence_summaries*.txt pin the resulting summaries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,10 +109,9 @@ struct ControlFlowGraph {
   bool dominates(uint32_t A, uint32_t B) const;
 };
 
-/// Builds the CFG for defined function DefinedIndex. Rejects exactly the
-/// structural malformations the evaluator rejects (same messages, same
-/// Malformed/LimitExceeded taxonomy); typing errors are left to the
-/// evaluator core driven over the graph.
+/// Builds the CFG for defined function DefinedIndex with one bare typing
+/// pass. Rejects exactly what evaluateFunction rejects, with the same code
+/// and message.
 Result<ControlFlowGraph> buildCfg(const wasm::Module &M,
                                   uint32_t DefinedIndex);
 
@@ -126,24 +122,24 @@ Result<ControlFlowGraph> buildCfg(const wasm::Module &M,
 std::vector<bool> mustExecuteMask(const ControlFlowGraph &Cfg,
                                   size_t BodySize);
 
-/// Result of the CFG-hosted loop-carry fixpoint.
+/// Result of the loop-carry fixpoint.
 struct CarryFixpoint {
   LoopCarry Carry;
   uint32_t Rounds = 0;
-  /// Rounds (after the first) that resumed from a loop-header snapshot
-  /// instead of re-running the whole body. Diagnostic only.
+  /// Rounds (after the first) that resumed from a loop snapshot instead of
+  /// re-running the whole body. Diagnostic only.
   uint32_t ResumedRounds = 0;
+  /// The function's CFG, built during the first round.
+  ControlFlowGraph Cfg;
 };
 
-/// Runs the loop-carry fixpoint over the CFG: each round drives the shared
-/// evaluator core block-by-block in body (== reverse-post) order with the
-/// previous round's carry frozen, snapshotting the machine at loop headers;
-/// subsequent rounds resume from the earliest header whose carry changed.
-/// Rounds and the final carry are bit-identical to the legacy
-/// re-run-the-body fixpoint with the same MaxPasses cap.
+/// Runs the loop-carry fixpoint: each round steps the typing engine in body
+/// order with the previous round's carry frozen, snapshotting the machine at
+/// `loop` instructions; later rounds resume from the earliest loop whose
+/// carry changed. Runs at least one round and at most MaxPasses. Rejects
+/// exactly what evaluateFunction rejects.
 Result<CarryFixpoint> runCarryFixpoint(const wasm::Module &M,
                                        uint32_t DefinedIndex,
-                                       const ControlFlowGraph &Cfg,
                                        uint32_t MaxPasses);
 
 /// Graphviz rendering (one digraph) for offline triage.

@@ -1,7 +1,6 @@
 #include "dataset/pipeline.h"
 
 #include "analysis/analyzer.h"
-#include "analysis/cfg.h"
 #include "analysis/paths.h"
 #include "dataset/journal.h"
 #include "dwarf/io.h"
@@ -14,6 +13,7 @@
 #include "typelang/from_dwarf.h"
 #include "wasm/abstract.h"
 #include "wasm/reader.h"
+#include "wasm/validate.h"
 
 #include <algorithm>
 #include <cassert>
@@ -50,7 +50,8 @@ uint64_t Dataset::countReturns(const std::vector<uint32_t> &Split) const {
 std::string QuarantineReport::summary() const {
   std::string Out = "quarantined " + std::to_string(total()) + " module(s): " +
                     std::to_string(ParseFailures) + " parse, " +
-                    std::to_string(DebugFailures) + " debug-info";
+                    std::to_string(DebugFailures) + " debug-info, " +
+                    std::to_string(TypingFailures) + " typing";
   if (WatchdogFailures)
     Out += ", " + std::to_string(WatchdogFailures) + " watchdog";
   Out += "\n";
@@ -100,30 +101,43 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
     Stage = std::make_unique<telemetry::ScopedPhase>(Name);
   };
 
+  // Each binary is also typed here: one that parses but fails
+  // wasm::validateModule is quarantined, so analysis only sees well-typed
+  // bodies.
   BeginStage("ingest.debug_extract");
   std::vector<std::optional<dwarf::DebugInfo>> Debugs(KeptMods.size());
-  std::vector<std::optional<Error>> DebugErrors(KeptMods.size());
+  std::vector<std::optional<Error>> Errors(KeptMods.size());
   Pool.parallelFor(0, KeptMods.size(), 1, [&](size_t Begin, size_t End) {
     for (size_t K = Begin; K < End; ++K) {
+      auto Fail = [&](const Error &E) {
+        Errors[K].emplace(E.withContext(
+            "package " + std::to_string(KeptMods[K].PackageId) + "/obj" +
+            std::to_string(KeptMods[K].ObjectIndex)));
+      };
       Result<dwarf::DebugInfo> Debug =
           dwarf::extractDebugInfo(KeptMods[K].Mod);
       if (Debug.isErr()) {
-        DebugErrors[K].emplace(Debug.error().withContext(
-            "package " + std::to_string(KeptMods[K].PackageId) + "/obj" +
-            std::to_string(KeptMods[K].ObjectIndex)));
+        Fail(Debug.error());
         continue;
       }
       Debugs[K].emplace(Debug.take());
+      if (Result<void> Typed = wasm::validateModule(KeptMods[K].Mod);
+          Typed.isErr())
+        Fail(Typed.error());
     }
   });
 
   std::vector<KeptBinary> Kept;
   for (size_t K = 0; K < KeptMods.size(); ++K) {
-    if (!Debugs[K]) {
-      ++Out.Quarantine.DebugFailures;
+    if (Errors[K]) {
+      // Typing runs only on binaries whose debug info extracted.
+      bool Typing = Debugs[K].has_value();
+      ++(Typing ? Out.Quarantine.TypingFailures
+                : Out.Quarantine.DebugFailures);
       Out.Quarantine.Entries.push_back(
-          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex, "debug-info",
-           DebugErrors[K]->code(), DebugErrors[K]->message()});
+          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex,
+           Typing ? "typing" : "debug-info", Errors[K]->code(),
+           Errors[K]->message()});
       continue;
     }
     ++Out.Dedup.ObjectsAfter;
@@ -136,43 +150,34 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
 
   // --- Stage 1b: dataflow analysis over kept binaries ---------------------
   // Summaries are a pure function of the module bytes, so per-binary slots
-  // keep the results thread-count invariant. Ingest never calls
-  // wasm::validateModule: the analyzer's typing pass is the only typing an
-  // ingested body gets. A binary with an ill-typed body therefore fails
-  // analysis, which is non-fatal: it simply contributes samples without
-  // evidence.
+  // keep the results thread-count invariant. Every kept binary passed
+  // wasm::validateModule above, so analysis succeeds on each of them.
+  // Control-flow path tokens are per function (every query against the same
+  // function shares them), so they are taken once here, not per sample,
+  // from the CFG the analysis builds inside its fixpoint; each graph is
+  // dropped as soon as its tokens are taken.
   BeginStage("ingest.analysis");
   bool WantEvidence = Options.ComputeEvidence || Options.Extract.EvidenceTokens;
+  bool WantPaths = Options.Extract.PathTokens;
   std::vector<std::optional<analysis::ModuleSummary>> Summaries(
       WantEvidence ? Kept.size() : 0);
-  if (WantEvidence)
-    Pool.parallelTasks(Kept.size(), [&](size_t BinaryIndex) {
-      Result<analysis::ModuleSummary> Summary =
-          analysis::analyzeModule(Kept[BinaryIndex].Mod);
-      if (Summary.isOk())
-        Summaries[BinaryIndex].emplace(Summary.take());
-    });
-
-  // Control-flow path tokens are per function (every query against the same
-  // function shares them), so they are computed once here, not per sample.
-  // Bodies here are untyped (see above); buildCfg's structural guards keep
-  // the build total, and a CFG build failure is non-fatal: the function's
-  // samples simply carry no path tokens.
-  bool WantPaths = Options.Extract.PathTokens;
   std::vector<std::vector<std::vector<std::string>>> PathsPerBinary(
       WantPaths ? Kept.size() : 0);
-  if (WantPaths)
+  if (WantEvidence || WantPaths)
     Pool.parallelTasks(Kept.size(), [&](size_t BinaryIndex) {
       const wasm::Module &Mod = Kept[BinaryIndex].Mod;
-      auto &Paths = PathsPerBinary[BinaryIndex];
-      Paths.resize(Mod.Functions.size());
-      for (uint32_t FuncIndex = 0; FuncIndex < Mod.Functions.size();
-           ++FuncIndex) {
-        Result<analysis::ControlFlowGraph> Cfg =
-            analysis::buildCfg(Mod, FuncIndex);
-        if (Cfg.isOk())
-          Paths[FuncIndex] = analysis::extractPathTokens(Cfg.value());
+      analysis::CfgVisitor TakePaths;
+      if (WantPaths) {
+        auto &Paths = PathsPerBinary[BinaryIndex];
+        Paths.resize(Mod.Functions.size());
+        TakePaths = [&Paths](const analysis::ControlFlowGraph &Cfg) {
+          Paths[Cfg.DefinedIndex] = analysis::extractPathTokens(Cfg);
+        };
       }
+      Result<analysis::ModuleSummary> Summary =
+          analysis::analyzeModule(Mod, TakePaths);
+      if (WantEvidence && Summary.isOk())
+        Summaries[BinaryIndex].emplace(Summary.take());
     });
 
   // --- Stage 2+3: match functions to subprograms and collect raw samples -
@@ -363,6 +368,8 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
       .add(Out.Quarantine.ParseFailures);
   telemetry::counter("ingest.quarantine.debug_failures")
       .add(Out.Quarantine.DebugFailures);
+  telemetry::counter("ingest.quarantine.typing_failures")
+      .add(Out.Quarantine.TypingFailures);
   telemetry::counter("ingest.quarantine.watchdog_failures")
       .add(Out.Quarantine.WatchdogFailures);
   telemetry::counter("ingest.duplicates_dropped")

@@ -86,12 +86,14 @@ struct QuarantineEntry {
 struct QuarantineReport {
   uint64_t ParseFailures = 0;  ///< wasm::readModule rejected the bytes.
   uint64_t DebugFailures = 0;  ///< DWARF sections missing or malformed.
+  uint64_t TypingFailures = 0; ///< Parsed, but wasm::validateModule
+                               ///< rejected it.
   uint64_t WatchdogFailures = 0; ///< Per-file stall/byte-budget watchdog
                                  ///< fired (streaming ingest only).
   std::vector<QuarantineEntry> Entries;
 
   uint64_t total() const {
-    return ParseFailures + DebugFailures + WatchdogFailures;
+    return ParseFailures + DebugFailures + TypingFailures + WatchdogFailures;
   }
   bool empty() const { return Entries.empty(); }
   /// Human-readable multi-line summary ("stage counts + one line per entry").

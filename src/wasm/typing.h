@@ -12,9 +12,11 @@
 //  * wasm::validateFunction (validate.cpp): a bare typing pass;
 //  * analysis::evaluateFunction (analysis/stack_eval.h): the same pass with
 //    an EvalSink and loop-carry maps attached;
-//  * the CFG-hosted loop-carry fixpoint (analysis/cfg.cpp): steps basic
-//    blocks in body order, snapshotting the machine at loop headers so later
-//    rounds resume from the earliest loop whose carry state changed.
+//  * the loop-carry fixpoint and the CFG builder (analysis/cfg.cpp): step
+//    the body in order, snapshotting the machine at `loop` so later rounds
+//    resume from the earliest loop whose carry state changed, and read the
+//    frame stack (frames()) after each step to emit the CFG's edges. The
+//    engine's walk is the only place that knows wasm's frame discipline.
 //
 // The callers differ only in their error prefix and in what they attach, so
 // their verdicts and messages agree by construction. Tags are observable
@@ -25,9 +27,9 @@
 //
 //  * flow-sensitive local tags: `local.set`/`local.tee` strongly update the
 //    tag of the written local, `if`/`else`/`end` joins merge the tags of all
-//    inbound edges, and loop back-edges are closed by re-running the body
-//    with the previous pass's carry state (analysis/analyzer.h drives this
-//    to a bounded fixpoint);
+//    inbound edges, and loop back-edges are closed by a fixpoint whose
+//    rounds merge the previous round's carry state at each loop entry
+//    (analysis/cfg.h: runCarryFixpoint, bounded by the analyzer);
 //  * an EvalSink observer fed with typed operands at loads, stores, calls,
 //    numeric operations, branches-out (returns), and local writes — only at
 //    reachable program points — from which evidence summaries are built
@@ -54,7 +56,7 @@ namespace wasm {
 /// bytes, but a body of back-to-back `block` opcodes would still grow the
 /// frame stack linearly with input size; cap it so hostile inputs get a
 /// structured LimitExceeded instead of unbounded memory growth. The CFG
-/// builder applies the same cap.
+/// builder reads this engine's frames, so the cap bounds it too.
 inline constexpr size_t MaxControlNesting = 1024;
 
 /// Sentinel parameter index for "no parameter provenance".
@@ -215,6 +217,11 @@ public:
   Snapshot save() const;
   void restore(const Snapshot &S);
 
+  /// The open control frames, outermost (the function frame) first. After a
+  /// successful step it shows what the instruction opened, closed or
+  /// targeted; the CFG builder reads it instead of tracking frames itself.
+  const std::vector<Frame> &frames() const { return Frames; }
+
 private:
   /// Record the rejection in Failure and return false, so checks read
   /// `return fail(...)`.
@@ -257,7 +264,7 @@ private:
   const FuncType &Type;
   const char *Prefix;
   EvalSink *Sink;
-  const EvalOptions &Options;
+  const EvalOptions Options; // Two pointers; a copy cannot dangle.
   /// A sink or a loop-carry map is attached, so value tags are observable
   /// and result-tag joins are kept.
   bool Observed = false;

@@ -375,6 +375,52 @@ TEST(Quarantine, CorruptObjectIsSkippedNotFatal) {
   EXPECT_NE(Data.Quarantine.summary().find("parse"), std::string::npos);
 }
 
+TEST(Quarantine, IllTypedBinaryIsQuarantined) {
+  // An object that parses but fails typing (its first function starts with
+  // i32.add on an empty stack) is quarantined at the typing stage, and the
+  // surviving samples, evidence and path tokens included, are exactly those
+  // of the corpus without it.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 6;
+  Spec.Seed = 11;
+  frontend::Corpus WithVictim = frontend::buildCorpus(Spec);
+  frontend::Corpus Without = frontend::buildCorpus(Spec);
+  frontend::CompiledObject &Victim = WithVictim.Packages.at(2).Objects.at(0);
+  std::vector<wasm::Instr> &Body = Victim.Mod.Functions.at(0).Body;
+  Body.insert(Body.begin(), wasm::Instr(wasm::Opcode::I32Add));
+  Victim.Bytes = wasm::writeModule(Victim.Mod);
+  Without.Packages.at(2).Objects.erase(Without.Packages.at(2).Objects.begin());
+
+  dataset::DatasetOptions Options;
+  Options.Extract.EvidenceTokens = true;
+  Options.Extract.PathTokens = true;
+  dataset::Dataset A = dataset::buildDataset(WithVictim, Options);
+  dataset::Dataset B = dataset::buildDataset(Without, Options);
+  EXPECT_EQ(A.Quarantine.TypingFailures, 1u);
+  EXPECT_EQ(A.Quarantine.total(), 1u);
+  ASSERT_EQ(A.Quarantine.Entries.size(), 1u);
+  const dataset::QuarantineEntry &Entry = A.Quarantine.Entries[0];
+  EXPECT_EQ(Entry.PackageId, WithVictim.Packages.at(2).Id);
+  EXPECT_EQ(Entry.ObjectIndex, 0u);
+  EXPECT_EQ(Entry.Stage, "typing");
+  EXPECT_EQ(Entry.Code, ErrorCode::Malformed);
+  EXPECT_NE(Entry.Message.find("obj0"), std::string::npos) << Entry.Message;
+  EXPECT_NE(Entry.Message.find("validation: binary operand type mismatch"),
+            std::string::npos)
+      << Entry.Message;
+  EXPECT_NE(A.Quarantine.summary().find("1 typing"), std::string::npos);
+  EXPECT_EQ(B.Quarantine.total(), 0u);
+  ASSERT_EQ(A.Samples.size(), B.Samples.size());
+  for (size_t I = 0; I < A.Samples.size(); ++I) {
+    EXPECT_EQ(A.Samples[I].Input, B.Samples[I].Input);
+    EXPECT_EQ(A.Samples[I].RichType.toString(),
+              B.Samples[I].RichType.toString());
+  }
+  EXPECT_EQ(A.Train, B.Train);
+  EXPECT_EQ(A.Valid, B.Valid);
+  EXPECT_EQ(A.Test, B.Test);
+}
+
 TEST(Quarantine, SurvivorsIdenticalToCleanBuildWithoutVictim) {
   // Quarantining a corrupt object must leave the surviving samples exactly
   // as if the object had never been in the corpus.
