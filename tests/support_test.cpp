@@ -1,6 +1,10 @@
 //===- tests/support_test.cpp - Support library unit tests -----------------===//
 
+#include "dataset/journal.h"
+#include "model/serve_daemon.h"
+#include "nn/seq2seq.h"
 #include "support/hash.h"
+#include "support/io.h"
 #include "support/leb128.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -8,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 
 namespace snowwhite {
@@ -428,6 +433,93 @@ TEST(Str, Padding) {
   EXPECT_EQ(padLeft("ab", 4), "  ab");
   EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("abcde", 4), "abcde");
+}
+
+// --- Byte-identity oracle -----------------------------------------------------
+//
+// Length and FNV-1a of the serialized bytes of four deterministic artifacts,
+// recorded from the encoder before the on-disk formats shared one codec.
+// Any change here is a format change: it must come with a version bump, not
+// a re-recorded digest.
+
+void expectDigest(const std::vector<uint8_t> &Bytes, size_t Size,
+                  uint64_t Hash) {
+  EXPECT_EQ(Bytes.size(), Size);
+  EXPECT_EQ(hashVector(Bytes), Hash)
+      << "actual hash 0x" << hashToHex(hashVector(Bytes));
+}
+
+TEST(ByteIdentity, UntrainedModelFile) {
+  nn::Seq2SeqConfig Config;
+  Config.SrcVocabSize = 23;
+  Config.TgtVocabSize = 11;
+  Config.EmbedDim = 6;
+  Config.HiddenDim = 8;
+  Config.MaxSrcLen = 12;
+  Config.MaxTgtLen = 5;
+  Config.DropoutRate = 0.125f;
+  Config.Seed = 4242;
+  nn::Seq2SeqModel Model(Config);
+  expectDigest(Model.serialize(), 9196, 0xdb3fb05a9b23d1d6ULL);
+}
+
+TEST(ByteIdentity, HandBuiltIngestJournal) {
+  using namespace dataset::journal;
+  IngestJournal J;
+  J.ConfigDigest = 0x0123456789abcdefULL;
+  FileRecord Kept;
+  Kept.RelPath = "pkg0/a.wasm";
+  Kept.ExactHash = 0x1111222233334444ULL;
+  Kept.ApproxHash = 0x5555666677778888ULL;
+  Kept.Bytes = 4096;
+  Kept.Functions = 7;
+  Kept.Instructions = 300;
+  J.Records.push_back(Kept);
+  FileRecord Quarantined;
+  Quarantined.RelPath = "pkg1/broken.wasm";
+  Quarantined.Outcome = FileOutcome::QuarantinedParse;
+  Quarantined.Code = ErrorCode::Truncated;
+  Quarantined.Stage = "parse";
+  Quarantined.Message = "section 10: truncated body";
+  Quarantined.Bytes = 17;
+  J.Records.push_back(Quarantined);
+  FileRecord Duplicate = Kept;
+  Duplicate.RelPath = "pkg2/a-copy.wasm";
+  Duplicate.Outcome = FileOutcome::DuplicateExact;
+  J.Records.push_back(Duplicate);
+  expectDigest(J.serialize(), 352, 0x2833c8ae8d50f205ULL);
+}
+
+TEST(ByteIdentity, HandBuiltCacheSnapshot) {
+  model::PredictionCache::Config Config;
+  Config.NumShards = 3;
+  model::PredictionCache Cache(Config);
+  for (int I = 0; I < 5; ++I) {
+    std::string Key = "i32 <begin> key-" + std::to_string(I);
+    model::CachedPrediction Value;
+    Value.ComputedBy = I % 2 ? model::PredictionTier::Beam
+                             : model::PredictionTier::Baseline;
+    for (int P = 0; P <= I % 3; ++P) {
+      model::TypePrediction Pred;
+      Pred.Tokens = {"pointer", "struct", "name-" + std::to_string(P)};
+      Pred.LogProb = -0.375f * static_cast<float>(I + P + 1);
+      Value.Predictions.push_back(Pred);
+    }
+    Cache.insert(hashString(Key), Key, Value);
+  }
+  expectDigest(Cache.serializeSnapshot(), 832, 0x0238427f5a620de5ULL);
+}
+
+TEST(ByteIdentity, ChecksummedFile) {
+  std::string Path = ::testing::TempDir() + "/byte_identity.bin";
+  std::vector<uint8_t> Payload;
+  for (int I = 0; I < 300; ++I)
+    Payload.push_back(static_cast<uint8_t>(I * 37 + 5));
+  ASSERT_TRUE(io::writeFileChecksummed(Path, Payload).isOk());
+  Result<std::vector<uint8_t>> Written = io::readFileBytes(Path);
+  ASSERT_TRUE(Written.isOk());
+  expectDigest(*Written, 308, 0x87263d23d1415c9aULL);
+  std::remove(Path.c_str());
 }
 
 } // namespace
