@@ -3,6 +3,7 @@
 #include "support/hash.h"
 #include "support/io.h"
 
+#include <array>
 #include <cstdio>
 
 namespace snowwhite {
@@ -25,9 +26,18 @@ const char *fileOutcomeName(FileOutcome Outcome) {
   return "invalid-outcome";
 }
 
+// Layout, in io::ByteWriter records (strings are u64-length-prefixed):
+//
+//   Magic "SWJL"  Version:u32  ConfigDigest:u64  NumRecords:u64
+//   per record: RelPath  Outcome:u8  Code:u8  Stage  Message
+//               ExactHash  ApproxHash  Bytes  Functions  Instructions (u64)
+//   DedupSnapshot: its seven fields as u64, in declaration order
+//
+// saveJournal appends writeFileChecksummed's FNV-1a trailer.
+
 namespace {
 
-constexpr uint8_t Magic[4] = {'S', 'W', 'J', 'L'};
+constexpr uint32_t Magic = 0x4c4a5753; // "SWJL" little-endian.
 /// The highest error code a record may carry; anything above is a corrupted
 /// (or future) taxonomy, rejected rather than cast blindly.
 constexpr uint8_t MaxErrorCode = static_cast<uint8_t>(ErrorCode::Timeout);
@@ -37,71 +47,12 @@ constexpr uint8_t MaxOutcome =
 /// this is a corrupted length field, not a message.
 constexpr uint64_t MaxStringBytes = 1u << 20;
 
-void appendU32(uint32_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
+/// The snapshot's fields in file order.
+std::array<uint64_t *, 7> snapshotFields(DedupSnapshot &Snap) {
+  return {&Snap.KeptFiles, &Snap.ExactDuplicates, &Snap.NearDuplicates,
+          &Snap.ParseQuarantines, &Snap.WatchdogQuarantines,
+          &Snap.ExactSetDigest, &Snap.ApproxSetDigest};
 }
-
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendString(const std::string &Text, std::vector<uint8_t> &Out) {
-  appendU64(Text.size(), Out);
-  Out.insert(Out.end(), Text.begin(), Text.end());
-}
-
-/// Bounds-checked little-endian reader over the serialized journal.
-class Reader {
-public:
-  explicit Reader(const std::vector<uint8_t> &Input) : Bytes(Input) {}
-
-  bool readU8(uint8_t &Out) {
-    if (Offset >= Bytes.size())
-      return false;
-    Out = Bytes[Offset++];
-    return true;
-  }
-
-  bool readU32(uint32_t &Out) {
-    uint64_t Wide;
-    if (!readFixed(4, Wide))
-      return false;
-    Out = static_cast<uint32_t>(Wide);
-    return true;
-  }
-
-  bool readU64(uint64_t &Out) { return readFixed(8, Out); }
-
-  bool readString(std::string &Out) {
-    uint64_t Size;
-    if (!readU64(Size) || Size > MaxStringBytes ||
-        Size > Bytes.size() - Offset)
-      return false;
-    Out.assign(Bytes.begin() + static_cast<ptrdiff_t>(Offset),
-               Bytes.begin() + static_cast<ptrdiff_t>(Offset + Size));
-    Offset += Size;
-    return true;
-  }
-
-  size_t remaining() const { return Bytes.size() - Offset; }
-  bool atEnd() const { return Offset >= Bytes.size(); }
-
-private:
-  bool readFixed(size_t NumBytes, uint64_t &Out) {
-    if (Bytes.size() - Offset < NumBytes)
-      return false;
-    Out = 0;
-    for (size_t I = 0; I < NumBytes; ++I)
-      Out |= static_cast<uint64_t>(Bytes[Offset + I]) << (8 * I);
-    Offset += NumBytes;
-    return true;
-  }
-
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
 
 } // namespace
 
@@ -134,43 +85,35 @@ DedupSnapshot IngestJournal::snapshot() const {
 
 std::vector<uint8_t> IngestJournal::serialize() const {
   std::vector<uint8_t> Out;
-  // Byte-wise on purpose: GCC 12's -Wstringop-overflow misfires on a
-  // range-insert from a constexpr array into an empty vector.
-  for (uint8_t Byte : Magic)
-    Out.push_back(Byte);
-  appendU32(JournalVersion, Out);
-  appendU64(ConfigDigest, Out);
-  appendU64(Records.size(), Out);
+  io::ByteWriter W(Out);
+  W.putU32(Magic);
+  W.putU32(JournalVersion);
+  W.putU64(ConfigDigest);
+  W.putU64(Records.size());
   for (const FileRecord &Rec : Records) {
-    appendString(Rec.RelPath, Out);
-    Out.push_back(static_cast<uint8_t>(Rec.Outcome));
-    Out.push_back(static_cast<uint8_t>(Rec.Code));
-    appendString(Rec.Stage, Out);
-    appendString(Rec.Message, Out);
-    appendU64(Rec.ExactHash, Out);
-    appendU64(Rec.ApproxHash, Out);
-    appendU64(Rec.Bytes, Out);
-    appendU64(Rec.Functions, Out);
-    appendU64(Rec.Instructions, Out);
+    W.putBytes(Rec.RelPath);
+    W.putU8(static_cast<uint8_t>(Rec.Outcome));
+    W.putU8(static_cast<uint8_t>(Rec.Code));
+    W.putBytes(Rec.Stage);
+    W.putBytes(Rec.Message);
+    W.putU64(Rec.ExactHash);
+    W.putU64(Rec.ApproxHash);
+    W.putU64(Rec.Bytes);
+    W.putU64(Rec.Functions);
+    W.putU64(Rec.Instructions);
   }
   DedupSnapshot Snap = snapshot();
-  appendU64(Snap.KeptFiles, Out);
-  appendU64(Snap.ExactDuplicates, Out);
-  appendU64(Snap.NearDuplicates, Out);
-  appendU64(Snap.ParseQuarantines, Out);
-  appendU64(Snap.WatchdogQuarantines, Out);
-  appendU64(Snap.ExactSetDigest, Out);
-  appendU64(Snap.ApproxSetDigest, Out);
+  for (uint64_t *Field : snapshotFields(Snap))
+    W.putU64(*Field);
   return Out;
 }
 
 Result<IngestJournal>
 IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
-  Reader R(Bytes);
-  uint8_t MagicByte;
-  for (int I = 0; I < 4; ++I)
-    if (!R.readU8(MagicByte) || MagicByte != Magic[I])
-      return Error(ErrorCode::Malformed, "journal: bad magic");
+  io::ByteReader R(Bytes);
+  uint32_t FileMagic;
+  if (!R.readU32(FileMagic) || FileMagic != Magic)
+    return Error(ErrorCode::Malformed, "journal: bad magic");
   uint32_t Version;
   if (!R.readU32(Version))
     return Error(ErrorCode::Truncated, "journal: truncated header");
@@ -190,12 +133,15 @@ IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
                  "journal: record count " + std::to_string(NumRecords) +
                      " exceeds remaining bytes");
   J.Records.reserve(static_cast<size_t>(NumRecords));
+  auto ReadString = [&](std::string &Text) {
+    return R.readBytes(Text, MaxStringBytes).isOk();
+  };
   for (uint64_t I = 0; I < NumRecords; ++I) {
     std::string Where = "journal: record " + std::to_string(I) + ": ";
     FileRecord Rec;
     uint8_t Outcome, Code;
-    if (!R.readString(Rec.RelPath) || !R.readU8(Outcome) || !R.readU8(Code) ||
-        !R.readString(Rec.Stage) || !R.readString(Rec.Message) ||
+    if (!ReadString(Rec.RelPath) || !R.readU8(Outcome) || !R.readU8(Code) ||
+        !ReadString(Rec.Stage) || !ReadString(Rec.Message) ||
         !R.readU64(Rec.ExactHash) || !R.readU64(Rec.ApproxHash) ||
         !R.readU64(Rec.Bytes) || !R.readU64(Rec.Functions) ||
         !R.readU64(Rec.Instructions))
@@ -209,22 +155,12 @@ IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
     J.Records.push_back(std::move(Rec));
   }
   DedupSnapshot Stored;
-  if (!R.readU64(Stored.KeptFiles) || !R.readU64(Stored.ExactDuplicates) ||
-      !R.readU64(Stored.NearDuplicates) ||
-      !R.readU64(Stored.ParseQuarantines) ||
-      !R.readU64(Stored.WatchdogQuarantines) ||
-      !R.readU64(Stored.ExactSetDigest) || !R.readU64(Stored.ApproxSetDigest))
-    return Error(ErrorCode::Truncated, "journal: truncated dedup snapshot");
+  for (uint64_t *Field : snapshotFields(Stored))
+    if (!R.readU64(*Field))
+      return Error(ErrorCode::Truncated, "journal: truncated dedup snapshot");
   if (!R.atEnd())
     return Error(ErrorCode::Malformed, "journal: trailing bytes");
-  DedupSnapshot Computed = J.snapshot();
-  if (Computed.KeptFiles != Stored.KeptFiles ||
-      Computed.ExactDuplicates != Stored.ExactDuplicates ||
-      Computed.NearDuplicates != Stored.NearDuplicates ||
-      Computed.ParseQuarantines != Stored.ParseQuarantines ||
-      Computed.WatchdogQuarantines != Stored.WatchdogQuarantines ||
-      Computed.ExactSetDigest != Stored.ExactSetDigest ||
-      Computed.ApproxSetDigest != Stored.ApproxSetDigest)
+  if (J.snapshot() != Stored)
     return Error(ErrorCode::Malformed,
                  "journal: dedup snapshot disagrees with its records");
   return J;

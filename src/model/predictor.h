@@ -22,6 +22,11 @@ struct TypePrediction {
   float LogProb = 0.0f;
 };
 
+/// The low-level wasm type an extracted input starts with ("<t_low> <begin>
+/// ..."), or nullopt when the first token names none.
+std::optional<wasm::ValType>
+lowLevelOf(const std::vector<std::string> &InputTokens);
+
 /// Checks one prediction against statically-proven evidence. Predictions
 /// that do not parse as type sentences are Consistent by definition — the
 /// gate only ever rejects provable contradictions.

@@ -7,8 +7,8 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace snowwhite {
 namespace model {
@@ -243,7 +243,8 @@ void PredictionCache::publishGauges() const {
 //===----------------------------------------------------------------------===//
 // Snapshot serialization
 //
-// Layout (all integers u64 little-endian, mirroring the checkpoint format):
+// Layout, in io::ByteWriter records (the codec every on-disk artifact
+// shares); every integer is a u64 and every key or token u64-length-prefixed:
 //
 //   Magic  Version  NumSegments
 //   per segment: PayloadLen  Checksum(FNV-1a over payload)  payload
@@ -265,75 +266,18 @@ constexpr uint64_t SnapshotMagic = 0x31485343574f4e53ULL;
 // allocation bomb.
 constexpr uint64_t MaxSnapshotFieldBytes = 1ull << 24;
 
-void appendU64(std::vector<uint8_t> &Out, uint64_t Value) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>((Value >> (8 * I)) & 0xff));
-}
-
-void appendBytes(std::vector<uint8_t> &Out, std::string_view Text) {
-  appendU64(Out, Text.size());
-  Out.insert(Out.end(), Text.begin(), Text.end());
-}
-
-/// Bounds-checked little-endian reader over a byte span.
-class ByteReader {
-public:
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  size_t remaining() const { return Size - Pos; }
-
-  bool readU64(uint64_t &Value) {
-    if (remaining() < 8)
-      return false;
-    Value = 0;
-    for (int I = 0; I < 8; ++I)
-      Value |= static_cast<uint64_t>(Data[Pos + static_cast<size_t>(I)])
-               << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool readString(std::string &Out, Error &Err) {
-    uint64_t Len = 0;
-    if (!readU64(Len)) {
-      Err = Error(ErrorCode::Truncated, "length field truncated");
-      return false;
-    }
-    if (Len > MaxSnapshotFieldBytes) {
-      Err = Error(ErrorCode::LimitExceeded,
-                  "field of " + std::to_string(Len) + " bytes exceeds cap");
-      return false;
-    }
-    if (Len > remaining()) {
-      Err = Error(ErrorCode::Truncated, "field overruns its segment");
-      return false;
-    }
-    Out.assign(reinterpret_cast<const char *>(Data + Pos),
-               static_cast<size_t>(Len));
-    Pos += static_cast<size_t>(Len);
-    return true;
-  }
-
-  void skip(size_t N) { Pos += std::min(N, remaining()); }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-};
-
 struct StagedEntry {
   std::string Key;
   CachedPrediction Value;
 };
 
-/// Parses one segment payload into Staged. All-or-nothing: any failure
-/// leaves Staged untouched and reports the taxonomy code, so a half-parsed
-/// segment never leaks partial entries into the cache.
-Result<void> parseSegment(const uint8_t *Data, size_t Size,
-                          std::vector<StagedEntry> &Staged) {
-  ByteReader R(Data, Size);
-  std::vector<StagedEntry> Local;
+/// Parses one segment payload. All-or-nothing: a failure returns only the
+/// taxonomy code, so a half-parsed segment never leaks partial entries into
+/// the cache.
+Result<std::vector<StagedEntry>> parseSegment(const uint8_t *Data,
+                                              size_t Size) {
+  io::ByteReader R(Data, Size);
+  std::vector<StagedEntry> Entries;
   uint64_t EntryCount = 0;
   if (!R.readU64(EntryCount))
     return Error(ErrorCode::Truncated, "entry count truncated");
@@ -341,9 +285,9 @@ Result<void> parseSegment(const uint8_t *Data, size_t Size,
     return Error(ErrorCode::LimitExceeded, "entry count exceeds cap");
   for (uint64_t E = 0; E < EntryCount; ++E) {
     StagedEntry Entry;
-    Error Err(ErrorCode::Unknown, "");
-    if (!R.readString(Entry.Key, Err))
-      return Err;
+    if (Result<void> Key = R.readBytes(Entry.Key, MaxSnapshotFieldBytes);
+        Key.isErr())
+      return Key.error();
     uint64_t ComputedBy = 0;
     if (!R.readU64(ComputedBy))
       return Error(ErrorCode::Truncated, "tier field truncated");
@@ -361,8 +305,7 @@ Result<void> parseSegment(const uint8_t *Data, size_t Size,
       uint64_t LogProbBits = 0;
       if (!R.readU64(LogProbBits))
         return Error(ErrorCode::Truncated, "log-prob field truncated");
-      uint32_t Bits32 = static_cast<uint32_t>(LogProbBits);
-      std::memcpy(&Pred.LogProb, &Bits32, sizeof(Pred.LogProb));
+      Pred.LogProb = std::bit_cast<float>(static_cast<uint32_t>(LogProbBits));
       uint64_t NumTokens = 0;
       if (!R.readU64(NumTokens))
         return Error(ErrorCode::Truncated, "token count truncated");
@@ -371,25 +314,26 @@ Result<void> parseSegment(const uint8_t *Data, size_t Size,
       Pred.Tokens.reserve(static_cast<size_t>(NumTokens));
       for (uint64_t T = 0; T < NumTokens; ++T) {
         std::string Tok;
-        if (!R.readString(Tok, Err))
-          return Err;
+        if (Result<void> Read = R.readBytes(Tok, MaxSnapshotFieldBytes);
+            Read.isErr())
+          return Read.error();
         Pred.Tokens.push_back(std::move(Tok));
       }
       Entry.Value.Predictions.push_back(std::move(Pred));
     }
-    Local.push_back(std::move(Entry));
+    Entries.push_back(std::move(Entry));
   }
-  Staged = std::move(Local);
-  return {};
+  return Entries;
 }
 
 } // namespace
 
 std::vector<uint8_t> PredictionCache::serializeSnapshot() const {
   std::vector<uint8_t> Out;
-  appendU64(Out, SnapshotMagic);
-  appendU64(Out, SnapshotVersion);
-  appendU64(Out, Shards.size());
+  io::ByteWriter W(Out);
+  W.putU64(SnapshotMagic);
+  W.putU64(SnapshotVersion);
+  W.putU64(Shards.size());
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->Mutex);
     // Oldest-LRU-first, so restoreEntry() replays recency in file order and
@@ -405,22 +349,21 @@ std::vector<uint8_t> PredictionCache::serializeSnapshot() const {
                 return A->LastUse < B->LastUse;
               });
     std::vector<uint8_t> Payload;
-    appendU64(Payload, Ordered.size());
+    io::ByteWriter P(Payload);
+    P.putU64(Ordered.size());
     for (const Entry *E : Ordered) {
-      appendBytes(Payload, E->Key);
-      appendU64(Payload, static_cast<uint64_t>(E->Value.ComputedBy));
-      appendU64(Payload, E->Value.Predictions.size());
-      for (const TypePrediction &P : E->Value.Predictions) {
-        uint32_t Bits32 = 0;
-        std::memcpy(&Bits32, &P.LogProb, sizeof(Bits32));
-        appendU64(Payload, Bits32);
-        appendU64(Payload, P.Tokens.size());
-        for (const std::string &Tok : P.Tokens)
-          appendBytes(Payload, Tok);
+      P.putBytes(E->Key);
+      P.putU64(static_cast<uint64_t>(E->Value.ComputedBy));
+      P.putU64(E->Value.Predictions.size());
+      for (const TypePrediction &Pred : E->Value.Predictions) {
+        P.putU64(std::bit_cast<uint32_t>(Pred.LogProb));
+        P.putU64(Pred.Tokens.size());
+        for (const std::string &Tok : Pred.Tokens)
+          P.putBytes(Tok);
       }
     }
-    appendU64(Out, Payload.size());
-    appendU64(Out, hashVector(Payload));
+    W.putU64(Payload.size());
+    W.putU64(hashVector(Payload));
     Out.insert(Out.end(), Payload.begin(), Payload.end());
   }
   return Out;
@@ -448,10 +391,9 @@ PredictionCache::loadSnapshot(const std::string &Path,
   if (Read.isErr())
     return Read.error().withContext("cache snapshot '" + Path + "'");
   std::vector<uint8_t> Bytes = Read.take();
-  ByteReader Header(Bytes.data(), Bytes.size());
+  io::ByteReader In(Bytes);
   uint64_t Magic = 0, Version = 0, NumSegments = 0;
-  if (!Header.readU64(Magic) || !Header.readU64(Version) ||
-      !Header.readU64(NumSegments))
+  if (!In.readU64(Magic) || !In.readU64(Version) || !In.readU64(NumSegments))
     return Error(ErrorCode::Truncated,
                  "cache snapshot '" + Path + "': header truncated");
   if (Magic != SnapshotMagic)
@@ -470,41 +412,39 @@ PredictionCache::loadSnapshot(const std::string &Path,
                      std::to_string(NumSegments) + " exceeds cap");
   SnapshotLoadReport Report;
   Report.SegmentsTotal = NumSegments;
-  size_t Cursor = 24; // Past the header.
   auto Quarantine = [&](ErrorCode Code, uint64_t Count) {
     Report.SegmentsQuarantined += Count;
     Report.QuarantinedByCode[Code] += Count;
     telemetry::counter("serve_cache.snapshot.quarantined").add(Count);
   };
   for (uint64_t Seg = 0; Seg < NumSegments; ++Seg) {
-    ByteReader R(Bytes.data() + Cursor, Bytes.size() - Cursor);
     uint64_t PayloadLen = 0, Checksum = 0;
-    if (!R.readU64(PayloadLen) || !R.readU64(Checksum) ||
-        PayloadLen > R.remaining()) {
+    if (!In.readU64(PayloadLen) || !In.readU64(Checksum) ||
+        PayloadLen > In.remaining()) {
       // The file ends before this segment does; everything from here on is
       // unrecoverable, so quarantine the rest in one stroke.
       Quarantine(ErrorCode::Truncated, NumSegments - Seg);
       break;
     }
-    const uint8_t *Payload = Bytes.data() + Cursor + 16;
-    Cursor += 16 + static_cast<size_t>(PayloadLen);
-    if (hashBytes(Payload, static_cast<size_t>(PayloadLen)) != Checksum) {
+    const uint8_t *Payload = In.cursor();
+    size_t PayloadSize = static_cast<size_t>(PayloadLen);
+    In.skip(PayloadSize);
+    if (hashBytes(Payload, PayloadSize) != Checksum) {
       // The length framing held, so later segments are still addressable:
       // skip just this one.
       Quarantine(ErrorCode::ChecksumMismatch, 1);
       continue;
     }
-    std::vector<StagedEntry> Staged;
-    Result<void> Parsed =
-        parseSegment(Payload, static_cast<size_t>(PayloadLen), Staged);
-    if (Parsed.isErr()) {
-      Quarantine(Parsed.error().code(), 1);
+    Result<std::vector<StagedEntry>> Staged =
+        parseSegment(Payload, PayloadSize);
+    if (Staged.isErr()) {
+      Quarantine(Staged.error().code(), 1);
       continue;
     }
-    for (StagedEntry &E : Staged)
+    for (StagedEntry &E : *Staged)
       restoreEntry(std::move(E.Key), std::move(E.Value));
     ++Report.SegmentsLoaded;
-    Report.EntriesLoaded += Staged.size();
+    Report.EntriesLoaded += Staged->size();
   }
   telemetry::counter("serve_cache.snapshot.loads").add();
   telemetry::counter("serve_cache.snapshot.entries_loaded")

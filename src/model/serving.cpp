@@ -76,17 +76,6 @@ std::vector<TypePrediction> decodeHypotheses(
   return Out;
 }
 
-std::optional<wasm::ValType>
-lowLevelOf(const std::vector<std::string> &InputTokens) {
-  if (InputTokens.empty())
-    return std::nullopt;
-  for (wasm::ValType Type : {wasm::ValType::I32, wasm::ValType::I64,
-                             wasm::ValType::F32, wasm::ValType::F64})
-    if (InputTokens[0] == wasm::valTypeName(Type))
-      return Type;
-  return std::nullopt;
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,

@@ -7,12 +7,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <utility>
 
 namespace snowwhite {
 namespace model {
@@ -71,62 +72,8 @@ float validationLoss(Seq2SeqModel &Model, const Task &TrainTask,
 constexpr uint64_t CheckpointMagic = 0x534e4f57434b5054ULL; // "SNOWCKPT"
 constexpr uint64_t CheckpointVersion = 3;
 
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendFloats(const std::vector<float> &Values, std::vector<uint8_t> &Out) {
-  size_t At = Out.size();
-  Out.resize(At + Values.size() * sizeof(float));
-  std::memcpy(Out.data() + At, Values.data(), Values.size() * sizeof(float));
-}
-
-void appendRngState(const Rng &R, std::vector<uint8_t> &Out) {
-  for (uint64_t Word : R.state())
-    appendU64(Word, Out);
-}
-
-class CkptReader {
-public:
-  explicit CkptReader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU64(uint64_t &Value) {
-    if (Bytes.size() - Offset < 8)
-      return false;
-    Value = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Value |= static_cast<uint64_t>(Bytes[Offset++]) << Shift;
-    return true;
-  }
-
-  bool readFloats(std::vector<float> &Values) {
-    size_t Size = Values.size() * sizeof(float);
-    if (Bytes.size() - Offset < Size)
-      return false;
-    std::memcpy(Values.data(), Bytes.data() + Offset, Size);
-    Offset += Size;
-    return true;
-  }
-
-  bool readRngState(Rng &R) {
-    std::array<uint64_t, 4> State;
-    for (uint64_t &Word : State)
-      if (!readU64(Word))
-        return false;
-    R.restoreState(State);
-    return true;
-  }
-
-  bool atEnd() const { return Offset == Bytes.size(); }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
-
-/// In-memory image of the resumable loop state (everything but the model and
-/// optimizer objects, which are restored in place).
+/// In-memory image of the resumable loop state (everything but the weights,
+/// Adam moments and RNG states).
 struct LoopState {
   uint64_t Epoch = 0;
   uint64_t NextBegin = 0; ///< First un-trained index into Order.
@@ -184,61 +131,78 @@ struct ModelSnapshot {
   }
 };
 
+/// The loop state's fixed u64 slots, in file order. Floats and doubles
+/// travel as their bit patterns, a float's zero-extended.
+constexpr size_t StateSlots = 14;
+
+std::array<uint64_t, StateSlots> stateSlots(const LoopState &S) {
+  return {S.Epoch, S.NextBegin, S.BatchesRun, S.StepCount,
+          S.ChecksWithoutImprovement, std::bit_cast<uint32_t>(S.BestLoss),
+          S.Stop, S.HasBest, std::bit_cast<uint64_t>(S.EmaLoss), S.EmaCount,
+          S.ConsecutiveBad, S.RecoveriesUsed,
+          std::bit_cast<uint32_t>(S.LrScale),
+          std::bit_cast<uint64_t>(S.AccumSeconds)};
+}
+
+LoopState stateFromSlots(const std::array<uint64_t, StateSlots> &S) {
+  return {.Epoch = S[0], .NextBegin = S[1], .BatchesRun = S[2],
+          .StepCount = S[3], .ChecksWithoutImprovement = S[4],
+          .BestLoss = std::bit_cast<float>(static_cast<uint32_t>(S[5])),
+          .Stop = S[6] != 0, .HasBest = S[7] != 0,
+          .EmaLoss = std::bit_cast<double>(S[8]), .EmaCount = S[9],
+          .ConsecutiveBad = S[10], .RecoveriesUsed = S[11],
+          .LrScale = std::bit_cast<float>(static_cast<uint32_t>(S[12])),
+          .AccumSeconds = std::bit_cast<double>(S[13])};
+}
+
+/// Everything a checkpoint restores, decoded and verified in full before any
+/// of it touches the live run: a rejected checkpoint leaves the fresh start
+/// exactly as if no checkpoint had existed.
+struct Checkpoint {
+  LoopState State;
+  std::array<uint64_t, 4> ShuffleRng{};
+  std::array<uint64_t, 4> ModelRng{};
+  std::vector<size_t> Order;
+  ModelSnapshot Weights; ///< Values, Adam moments and step count.
+  std::vector<std::vector<float>> BestWeights;
+};
+
 std::vector<uint8_t> serializeCheckpoint(
     const LoopState &State, const Rng &ShuffleRng, Seq2SeqModel &Model,
     const std::vector<size_t> &Order,
     const std::vector<std::vector<float>> &BestWeights) {
   std::vector<uint8_t> Out;
-  appendU64(CheckpointMagic, Out);
-  appendU64(CheckpointVersion, Out);
-  appendU64(State.Epoch, Out);
-  appendU64(State.NextBegin, Out);
-  appendU64(State.BatchesRun, Out);
-  appendU64(State.StepCount, Out);
-  appendU64(State.ChecksWithoutImprovement, Out);
-  uint32_t LossBits = 0;
-  static_assert(sizeof(float) == 4, "unexpected float size");
-  std::memcpy(&LossBits, &State.BestLoss, sizeof(float));
-  appendU64(LossBits, Out);
-  appendU64(State.Stop ? 1 : 0, Out);
-  appendU64(State.HasBest ? 1 : 0, Out);
-  uint64_t EmaBits = 0;
-  static_assert(sizeof(double) == 8, "unexpected double size");
-  std::memcpy(&EmaBits, &State.EmaLoss, sizeof(double));
-  appendU64(EmaBits, Out);
-  appendU64(State.EmaCount, Out);
-  appendU64(State.ConsecutiveBad, Out);
-  appendU64(State.RecoveriesUsed, Out);
-  uint32_t LrBits = 0;
-  std::memcpy(&LrBits, &State.LrScale, sizeof(float));
-  appendU64(LrBits, Out);
-  uint64_t AccumBits = 0;
-  std::memcpy(&AccumBits, &State.AccumSeconds, sizeof(double));
-  appendU64(AccumBits, Out);
-  appendRngState(ShuffleRng, Out);
-  appendRngState(Model.modelRng(), Out);
-  appendU64(Order.size(), Out);
+  io::ByteWriter W(Out);
+  W.putU64(CheckpointMagic);
+  W.putU64(CheckpointVersion);
+  for (uint64_t Slot : stateSlots(State))
+    W.putU64(Slot);
+  for (const Rng *R : {&ShuffleRng, &std::as_const(Model.modelRng())})
+    for (uint64_t Word : R->state())
+      W.putU64(Word);
+  W.putU64(Order.size());
   for (size_t Index : Order)
-    appendU64(Index, Out);
+    W.putU64(Index);
   std::vector<Parameter *> Params = Model.parameters();
-  appendU64(Params.size(), Out);
+  W.putU64(Params.size());
   for (const Parameter *P : Params) {
-    appendFloats(P->Value, Out);
-    appendFloats(P->AdamM, Out);
-    appendFloats(P->AdamV, Out);
+    W.putFloats(P->Value);
+    W.putFloats(P->AdamM);
+    W.putFloats(P->AdamV);
   }
   if (State.HasBest)
-    for (const std::vector<float> &W : BestWeights)
-      appendFloats(W, Out);
+    for (const std::vector<float> &Best : BestWeights)
+      W.putFloats(Best);
   return Out;
 }
 
-Result<void> deserializeCheckpoint(const std::vector<uint8_t> &Bytes,
-                                   LoopState &State, Rng &ShuffleRng,
-                                   Seq2SeqModel &Model,
-                                   std::vector<size_t> &Order,
-                                   std::vector<std::vector<float>> &BestWeights) {
-  CkptReader In(Bytes);
+/// Decodes a checkpoint for a model with Params and a training split of
+/// OrderSize samples.
+Result<Checkpoint> deserializeCheckpoint(const std::vector<uint8_t> &Bytes,
+                                         const std::vector<Parameter *> &Params,
+                                         size_t OrderSize) {
+  io::ByteReader In(Bytes);
+  Checkpoint Ckpt;
   uint64_t Value;
   if (!In.readU64(Value) || Value != CheckpointMagic)
     return Error(ErrorCode::Malformed, "bad checkpoint magic");
@@ -247,67 +211,59 @@ Result<void> deserializeCheckpoint(const std::vector<uint8_t> &Bytes,
   auto Truncated = [] {
     return Error(ErrorCode::Truncated, "truncated checkpoint");
   };
-  if (!In.readU64(State.Epoch) || !In.readU64(State.NextBegin) ||
-      !In.readU64(State.BatchesRun) || !In.readU64(State.StepCount) ||
-      !In.readU64(State.ChecksWithoutImprovement))
-    return Truncated();
+  std::array<uint64_t, StateSlots> Slots;
+  for (uint64_t &Slot : Slots)
+    if (!In.readU64(Slot))
+      return Truncated();
+  Ckpt.State = stateFromSlots(Slots);
+  for (std::array<uint64_t, 4> *RngState : {&Ckpt.ShuffleRng, &Ckpt.ModelRng})
+    for (uint64_t &Word : *RngState)
+      if (!In.readU64(Word))
+        return Truncated();
   if (!In.readU64(Value))
     return Truncated();
-  uint32_t LossBits = static_cast<uint32_t>(Value);
-  std::memcpy(&State.BestLoss, &LossBits, sizeof(float));
-  if (!In.readU64(Value))
-    return Truncated();
-  State.Stop = Value != 0;
-  if (!In.readU64(Value))
-    return Truncated();
-  State.HasBest = Value != 0;
-  if (!In.readU64(Value))
-    return Truncated();
-  std::memcpy(&State.EmaLoss, &Value, sizeof(double));
-  if (!In.readU64(State.EmaCount) || !In.readU64(State.ConsecutiveBad) ||
-      !In.readU64(State.RecoveriesUsed))
-    return Truncated();
-  if (!In.readU64(Value))
-    return Truncated();
-  uint32_t LrBits = static_cast<uint32_t>(Value);
-  std::memcpy(&State.LrScale, &LrBits, sizeof(float));
-  if (!In.readU64(Value))
-    return Truncated();
-  std::memcpy(&State.AccumSeconds, &Value, sizeof(double));
-  if (!In.readRngState(ShuffleRng) || !In.readRngState(Model.modelRng()))
-    return Truncated();
-  if (!In.readU64(Value))
-    return Truncated();
-  if (Value != Order.size())
+  if (Value != OrderSize)
     return Error(ErrorCode::Malformed,
                  "checkpoint shuffle order is for a different dataset size");
-  for (size_t &Index : Order) {
+  // The order must be a permutation: a repeated index would train one sample
+  // twice per epoch and another never.
+  Ckpt.Order.resize(OrderSize);
+  std::vector<bool> Seen(OrderSize, false);
+  for (size_t &Index : Ckpt.Order) {
     uint64_t Raw;
     if (!In.readU64(Raw))
       return Truncated();
-    if (Raw >= Order.size())
+    if (Raw >= OrderSize)
       return Error(ErrorCode::Malformed,
                    "checkpoint shuffle order index out of range");
+    if (Seen[Raw])
+      return Error(ErrorCode::Malformed,
+                   "checkpoint shuffle order is not a permutation");
+    Seen[Raw] = true;
     Index = Raw;
   }
-  std::vector<Parameter *> Params = Model.parameters();
   if (!In.readU64(Value) || Value != Params.size())
     return Error(ErrorCode::Malformed, "checkpoint parameter count mismatch");
-  for (Parameter *P : Params)
-    if (!In.readFloats(P->Value) || !In.readFloats(P->AdamM) ||
-        !In.readFloats(P->AdamV))
-      return Truncated();
-  BestWeights.clear();
-  if (State.HasBest) {
-    for (Parameter *P : Params) {
-      BestWeights.emplace_back(P->Value.size());
-      if (!In.readFloats(BestWeights.back()))
+  ModelSnapshot &Weights = Ckpt.Weights;
+  for (const Parameter *P : Params) {
+    for (auto *Dest : {&Weights.Value, &Weights.AdamM, &Weights.AdamV}) {
+      Dest->emplace_back(P->Value.size());
+      if (!In.readFloats(Dest->back()))
+        return Truncated();
+    }
+  }
+  Weights.StepCount = Ckpt.State.StepCount;
+  Weights.Valid = true;
+  if (Ckpt.State.HasBest) {
+    for (const Parameter *P : Params) {
+      Ckpt.BestWeights.emplace_back(P->Value.size());
+      if (!In.readFloats(Ckpt.BestWeights.back()))
         return Truncated();
     }
   }
   if (!In.atEnd())
     return Error(ErrorCode::Malformed, "trailing bytes after checkpoint data");
-  return {};
+  return Ckpt;
 }
 
 } // namespace
@@ -356,32 +312,35 @@ TrainResult trainModel(const Task &TrainTask, const TrainOptions &Options) {
 
   const bool Checkpointing =
       !Options.CheckpointPath.empty() && Options.CheckpointEveryBatches > 0;
-  bool Resumed = false;
   if (Options.Resume && !Options.CheckpointPath.empty()) {
     Result<std::vector<uint8_t>> Bytes =
         io::readFileChecksummed(Options.CheckpointPath, Options.Faults);
-    if (Bytes.isOk()) {
-      Result<void> Restored = deserializeCheckpoint(
-          *Bytes, State, ShuffleRng, *Out.Model, Order, BestWeights);
-      if (Restored.isOk()) {
-        Optimizer.setStepCount(State.StepCount);
-        Optimizer.setLearningRate(Options.LearningRate * State.LrScale);
-        Out.BatchesRun = State.BatchesRun;
-        Resumed = true;
-        telemetry::counter("train.resumes").add();
-        if (Options.Verbose)
-          std::fprintf(stderr,
-                       "  [resume] epoch %llu batch %llu from '%s'\n",
-                       static_cast<unsigned long long>(State.Epoch),
-                       static_cast<unsigned long long>(State.BatchesRun),
-                       Options.CheckpointPath.c_str());
-      } else if (Options.Verbose) {
-        std::fprintf(stderr, "  [resume] ignoring checkpoint: %s\n",
-                     Restored.error().message().c_str());
-      }
+    Result<Checkpoint> Restored =
+        Bytes.isOk() ? deserializeCheckpoint(*Bytes, Out.Model->parameters(),
+                                             Order.size())
+                     : Result<Checkpoint>(Bytes.error());
+    if (Restored.isOk()) {
+      Checkpoint &Ckpt = *Restored;
+      State = Ckpt.State;
+      ShuffleRng.restoreState(Ckpt.ShuffleRng);
+      Out.Model->modelRng().restoreState(Ckpt.ModelRng);
+      Order = std::move(Ckpt.Order);
+      Ckpt.Weights.restore(*Out.Model, Optimizer);
+      BestWeights = std::move(Ckpt.BestWeights);
+      Optimizer.setLearningRate(Options.LearningRate * State.LrScale);
+      Out.BatchesRun = State.BatchesRun;
+      Out.Resumed = true;
+      telemetry::counter("train.resumes").add();
+      if (Options.Verbose)
+        std::fprintf(stderr, "  [resume] epoch %llu batch %llu from '%s'\n",
+                     static_cast<unsigned long long>(State.Epoch),
+                     static_cast<unsigned long long>(State.BatchesRun),
+                     Options.CheckpointPath.c_str());
     } else if (Options.Verbose) {
-      std::fprintf(stderr, "  [resume] no usable checkpoint: %s\n",
-                   Bytes.error().message().c_str());
+      std::fprintf(stderr, "  [resume] %s: %s\n",
+                   Bytes.isOk() ? "ignoring checkpoint"
+                                : "no usable checkpoint",
+                   Restored.error().message().c_str());
     }
   }
 
@@ -447,8 +406,8 @@ TrainResult trainModel(const Task &TrainTask, const TrainOptions &Options) {
   // the next epoch (whose shuffle has not happened yet).
   size_t StartEpoch = static_cast<size_t>(State.Epoch);
   size_t StartBegin = static_cast<size_t>(State.NextBegin);
-  bool SkipFirstShuffle = Resumed;
-  if (Resumed && StartBegin >= Order.size()) {
+  bool SkipFirstShuffle = Out.Resumed;
+  if (Out.Resumed && StartBegin >= Order.size()) {
     ++StartEpoch;
     StartBegin = 0;
     SkipFirstShuffle = false;

@@ -116,6 +116,10 @@ struct TrainResult {
   /// True when the fault injector simulated a crash before training finished
   /// (the model holds the state as of the crash; resume from the checkpoint).
   bool Interrupted = false;
+  /// True when training continued from Options.CheckpointPath. A checkpoint
+  /// that fails to load or verify resumes nothing: the run is then
+  /// bit-identical to one without a checkpoint.
+  bool Resumed = false;
   /// What the numerical-health supervisor did.
   RecoveryReport Recovery;
 };

@@ -5,10 +5,11 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace snowwhite {
 namespace nn {
@@ -426,112 +427,54 @@ Seq2SeqModel::predictTopKBudgeted(const std::vector<uint32_t> &Source,
 
 // --- Serialization ---------------------------------------------------------
 
-namespace {
-
 constexpr uint64_t ModelMagic = 0x534e4f574d4f444cULL; // "SNOWMODL"
-
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendFloats(const std::vector<float> &Values, std::vector<uint8_t> &Out) {
-  size_t At = Out.size();
-  Out.resize(At + Values.size() * sizeof(float));
-  std::memcpy(Out.data() + At, Values.data(), Values.size() * sizeof(float));
-}
-
-/// Bounds-checked little-endian reader over a serialized model buffer.
-class BufReader {
-public:
-  explicit BufReader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU64(uint64_t &Value) {
-    if (Bytes.size() - Offset < 8)
-      return false;
-    Value = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Value |= static_cast<uint64_t>(Bytes[Offset++]) << Shift;
-    return true;
-  }
-
-  bool readFloats(std::vector<float> &Values) {
-    size_t Size = Values.size() * sizeof(float);
-    if (Bytes.size() - Offset < Size)
-      return false;
-    std::memcpy(Values.data(), Bytes.data() + Offset, Size);
-    Offset += Size;
-    return true;
-  }
-
-  bool atEnd() const { return Offset == Bytes.size(); }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
-
-} // namespace
 
 std::vector<uint8_t> Seq2SeqModel::serialize() const {
   std::vector<uint8_t> Out;
-  appendU64(ModelMagic, Out);
-  appendU64(Config.SrcVocabSize, Out);
-  appendU64(Config.TgtVocabSize, Out);
-  appendU64(Config.EmbedDim, Out);
-  appendU64(Config.HiddenDim, Out);
-  appendU64(Config.MaxSrcLen, Out);
-  appendU64(Config.MaxTgtLen, Out);
-  appendU64(Config.Seed, Out);
-  uint64_t DropoutBits = 0;
-  static_assert(sizeof(float) == 4, "unexpected float size");
-  std::memcpy(&DropoutBits, &Config.DropoutRate, sizeof(float));
-  appendU64(DropoutBits, Out);
+  io::ByteWriter W(Out);
+  for (uint64_t Field :
+       {ModelMagic, uint64_t{Config.SrcVocabSize},
+        uint64_t{Config.TgtVocabSize}, uint64_t{Config.EmbedDim},
+        uint64_t{Config.HiddenDim}, uint64_t{Config.MaxSrcLen},
+        uint64_t{Config.MaxTgtLen}, Config.Seed,
+        uint64_t{std::bit_cast<uint32_t>(Config.DropoutRate)}})
+    W.putU64(Field);
 
   std::vector<Parameter *> Params =
       const_cast<Seq2SeqModel *>(this)->parameters();
-  appendU64(Params.size(), Out);
+  W.putU64(Params.size());
   for (const Parameter *P : Params) {
-    appendU64(P->Rows, Out);
-    appendU64(P->Cols, Out);
-    appendFloats(P->Value, Out);
+    W.putU64(P->Rows);
+    W.putU64(P->Cols);
+    W.putFloats(P->Value);
   }
   return Out;
 }
 
 Result<Seq2SeqModel> Seq2SeqModel::deserialize(
     const std::vector<uint8_t> &Bytes) {
-  BufReader In(Bytes);
+  io::ByteReader In(Bytes);
   uint64_t Magic;
   if (!In.readU64(Magic))
     return Error(ErrorCode::Truncated, "model buffer shorter than its magic");
   if (Magic != ModelMagic)
     return Error(ErrorCode::Malformed, "bad model file magic");
-  Seq2SeqConfig Config;
-  uint64_t Value;
-  auto ReadField = [&](size_t &Field) {
-    if (!In.readU64(Value))
-      return false;
-    Field = Value;
-    return true;
-  };
-  if (!ReadField(Config.SrcVocabSize) || !ReadField(Config.TgtVocabSize) ||
-      !ReadField(Config.EmbedDim) || !ReadField(Config.HiddenDim) ||
-      !ReadField(Config.MaxSrcLen) || !ReadField(Config.MaxTgtLen))
-    return Error(ErrorCode::Truncated, "truncated model config");
-  if (!In.readU64(Config.Seed))
-    return Error(ErrorCode::Truncated, "truncated model config");
-  if (!In.readU64(Value))
-    return Error(ErrorCode::Truncated, "truncated model config");
-  std::memcpy(&Config.DropoutRate, &Value, sizeof(float));
+  std::array<uint64_t, 8> Fields;
+  for (uint64_t &Field : Fields)
+    if (!In.readU64(Field))
+      return Error(ErrorCode::Truncated, "truncated model config");
   // Counts drive allocations in the constructor; bound them so a corrupt
   // header cannot OOM.
   constexpr uint64_t MaxDim = 1u << 24;
-  if (Config.SrcVocabSize > MaxDim || Config.TgtVocabSize > MaxDim ||
-      Config.EmbedDim > MaxDim || Config.HiddenDim > MaxDim ||
-      Config.MaxSrcLen > MaxDim || Config.MaxTgtLen > MaxDim)
+  if (std::any_of(Fields.begin(), Fields.begin() + 6,
+                  [](uint64_t Dim) { return Dim > MaxDim; }))
     return Error(ErrorCode::LimitExceeded,
                  "model config dimension exceeds sanity bound");
+  Seq2SeqConfig Config{
+      .SrcVocabSize = Fields[0], .TgtVocabSize = Fields[1],
+      .EmbedDim = Fields[2], .HiddenDim = Fields[3],
+      .DropoutRate = std::bit_cast<float>(static_cast<uint32_t>(Fields[7])),
+      .MaxSrcLen = Fields[4], .MaxTgtLen = Fields[5], .Seed = Fields[6]};
 
   Seq2SeqModel Model(Config);
   std::vector<Parameter *> Params = Model.parameters();

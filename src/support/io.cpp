@@ -4,9 +4,46 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace snowwhite {
 namespace io {
+
+void ByteWriter::putFloats(const std::vector<float> &Values) {
+  const auto *Bytes = reinterpret_cast<const uint8_t *>(Values.data());
+  Out.insert(Out.end(), Bytes, Bytes + Values.size() * sizeof(float));
+}
+
+void ByteWriter::putBytes(std::string_view Bytes) {
+  putU64(Bytes.size());
+  Out.insert(Out.end(), Bytes.begin(), Bytes.end());
+}
+
+bool ByteReader::readFloats(std::vector<float> &Values) {
+  size_t NumBytes = Values.size() * sizeof(float);
+  if (remaining() < NumBytes)
+    return false;
+  if (NumBytes > 0)
+    std::memcpy(Values.data(), Data + Pos, NumBytes);
+  Pos += NumBytes;
+  return true;
+}
+
+Result<void> ByteReader::readBytes(std::string &Out, uint64_t Cap) {
+  ByteReader Field = *this; // Committed only once the whole field is read.
+  uint64_t Len = 0;
+  if (!Field.readU64(Len))
+    return Error(ErrorCode::Truncated, "length field truncated");
+  if (Len > Cap)
+    return Error(ErrorCode::LimitExceeded,
+                 "field of " + std::to_string(Len) + " bytes exceeds cap");
+  const char *Text = reinterpret_cast<const char *>(Field.cursor());
+  if (!Field.skip(static_cast<size_t>(Len)))
+    return Error(ErrorCode::Truncated, "field overruns its segment");
+  Out.assign(Text, static_cast<size_t>(Len));
+  *this = Field;
+  return {};
+}
 
 namespace {
 
@@ -78,11 +115,6 @@ namespace {
 
 constexpr size_t ChecksumTrailerSize = 8;
 
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
 } // namespace
 
 Result<void> writeFileChecksummed(const std::string &Path,
@@ -90,7 +122,7 @@ Result<void> writeFileChecksummed(const std::string &Path,
                                   fault::FaultInjector *Faults,
                                   const fault::RetryPolicy &Policy) {
   std::vector<uint8_t> WithTrailer = Bytes;
-  appendU64(hashVector(Bytes), WithTrailer);
+  ByteWriter(WithTrailer).putU64(hashVector(Bytes));
   return writeFileAtomic(Path, WithTrailer, Faults, Policy);
 }
 
@@ -103,11 +135,10 @@ Result<std::vector<uint8_t>> readFileChecksummed(const std::string &Path,
   if (Bytes.size() < ChecksumTrailerSize)
     return Error(ErrorCode::Truncated,
                  "'" + Path + "' shorter than its checksum trailer");
+  auto Trailer = Bytes.end() - static_cast<ptrdiff_t>(ChecksumTrailerSize);
   uint64_t Stored = 0;
-  for (size_t I = 0; I < ChecksumTrailerSize; ++I)
-    Stored |= static_cast<uint64_t>(Bytes[Bytes.size() - ChecksumTrailerSize + I])
-              << (8 * I);
-  Bytes.resize(Bytes.size() - ChecksumTrailerSize);
+  ByteReader(&*Trailer, ChecksumTrailerSize).readU64(Stored);
+  Bytes.erase(Trailer, Bytes.end());
   if (hashVector(Bytes) != Stored)
     return Error(ErrorCode::ChecksumMismatch,
                  "checksum mismatch in '" + Path + "'");

@@ -1,7 +1,12 @@
 //===- support/io.h - Checked, crash-safe file I/O -------------------------===//
 //
-// All on-disk artifacts (models, checkpoints) go through these helpers:
+// All on-disk artifacts (model files, trainer checkpoints, the ingest journal,
+// cache snapshots) go through these helpers:
 //
+//  * ByteWriter / ByteReader: the one record codec every artifact encodes
+//    with — fixed-width little-endian integers, raw float arrays, and
+//    u64-length-prefixed byte strings, read through a bounds-checked cursor
+//    that never reads past the end of its span.
 //  * writeFileAtomic: write-temp-then-rename, so readers never observe a
 //    half-written file and a crash mid-write leaves the previous version
 //    intact.
@@ -9,9 +14,9 @@
 //    torn or bit-rotted file is detected at load time (ChecksumMismatch)
 //    instead of silently deserializing garbage.
 //
-// Every helper consults an optional FaultInjector (explicit argument, else
-// the process-global one) so tests can inject transient I/O failures; writes
-// retry those under a deterministic backoff policy.
+// Every file helper consults an optional FaultInjector (explicit argument,
+// else the process-global one) so tests can inject transient I/O failures;
+// writes retry those under a deterministic backoff policy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +30,85 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace snowwhite {
 namespace io {
+
+static_assert(sizeof(float) == 4, "the codec writes 4-byte floats");
+
+/// Appends records to a caller's buffer: integers little-endian at their
+/// fixed width, floats as their raw 4-byte host images (every supported
+/// host is little-endian), byte strings behind a u64 length.
+class ByteWriter {
+public:
+  explicit ByteWriter(std::vector<uint8_t> &Buffer) : Out(Buffer) {}
+
+  void putU8(uint8_t Value) { putFixed(Value); }
+  void putU32(uint32_t Value) { putFixed(Value); }
+  void putU64(uint64_t Value) { putFixed(Value); }
+  /// Values.size() floats, no length prefix (the reader knows the count).
+  void putFloats(const std::vector<float> &Values);
+  /// u64 byte count, then the bytes.
+  void putBytes(std::string_view Bytes);
+
+private:
+  template <typename T> void putFixed(T Value) {
+    for (size_t I = 0; I < sizeof(T); ++I)
+      Out.push_back(static_cast<uint8_t>(Value >> (8 * I)));
+  }
+
+  std::vector<uint8_t> &Out;
+};
+
+/// Reads ByteWriter's records from a (data, size) span. A read that does
+/// not fit in the remaining bytes fails and leaves the cursor where it was.
+class ByteReader {
+public:
+  ByteReader(const uint8_t *Bytes, size_t NumBytes)
+      : Data(Bytes), Size(NumBytes) {}
+  explicit ByteReader(const std::vector<uint8_t> &Bytes)
+      : ByteReader(Bytes.data(), Bytes.size()) {}
+
+  bool readU8(uint8_t &Value) { return readFixed(Value); }
+  bool readU32(uint32_t &Value) { return readFixed(Value); }
+  bool readU64(uint64_t &Value) { return readFixed(Value); }
+  /// Fills all of Values (its size is the count to read).
+  bool readFloats(std::vector<float> &Values);
+  /// A u64 length, then that many bytes. Errors: Truncated (length field
+  /// or field cut short), LimitExceeded (length over Cap, checked before
+  /// the overrun so a hostile length never sizes an allocation).
+  Result<void> readBytes(std::string &Out, uint64_t Cap);
+  /// Advances N bytes; fails without moving if fewer remain.
+  bool skip(size_t N) {
+    if (remaining() < N)
+      return false;
+    Pos += N;
+    return true;
+  }
+
+  /// The next unread byte.
+  const uint8_t *cursor() const { return Data + Pos; }
+  size_t remaining() const { return Size - Pos; }
+  bool atEnd() const { return Pos == Size; }
+
+private:
+  template <typename T> bool readFixed(T &Value) {
+    if (remaining() < sizeof(T))
+      return false;
+    uint64_t Wide = 0;
+    for (size_t I = 0; I < sizeof(T); ++I)
+      Wide |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
+    Value = static_cast<T>(Wide);
+    Pos += sizeof(T);
+    return true;
+  }
+
+  const uint8_t *Data;
+  size_t Size;
+  size_t Pos = 0;
+};
 
 /// Reads the whole file. Errors: IoError (missing/unreadable), IoTransient
 /// (injected).

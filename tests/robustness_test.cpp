@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -470,6 +471,72 @@ TEST(CheckpointIntegrity, CorruptedModelFileIsRejectedWithTaxonomyCode) {
   ASSERT_TRUE(Loaded.isErr());
   EXPECT_EQ(Loaded.error().code(), ErrorCode::ChecksumMismatch);
   std::remove(Path.c_str());
+}
+
+/// Writes a mid-run checkpoint of the tiny fixture to Path (the run is
+/// killed after four batches), then re-wraps its payload after Edit under a
+/// recomputed checksum, so the edit reaches the deserializer's structural
+/// checks instead of the checksum layer.
+void writeEditedCheckpoint(const std::string &Path,
+                           void (*Edit)(std::vector<uint8_t> &)) {
+  std::remove(Path.c_str());
+  TrainOptions Options = tinyTrainOptions();
+  Options.CheckpointPath = Path;
+  Options.CheckpointEveryBatches = 2;
+  fault::FaultConfig Config;
+  Config.CrashAtTick = 5;
+  fault::FaultInjector Injector(Config);
+  Options.Faults = &Injector;
+  ASSERT_TRUE(trainModel(sharedTask(), Options).Interrupted);
+  Result<std::vector<uint8_t>> Payload = io::readFileChecksummed(Path);
+  ASSERT_TRUE(Payload.isOk());
+  Edit(*Payload);
+  ASSERT_TRUE(io::writeFileChecksummed(Path, *Payload).isOk());
+}
+
+/// Resumes the tiny fixture from Path and expects the checkpoint to be
+/// rejected with Message: nothing resumed, weights byte-equal to a run that
+/// never had a checkpoint.
+void expectFreshStart(const std::string &Path, const std::string &Message) {
+  TrainOptions Options = tinyTrainOptions();
+  Options.CheckpointPath = Path;
+  Options.Resume = true;
+  Options.Verbose = true;
+  ::testing::internal::CaptureStderr();
+  TrainResult Resumed = trainModel(sharedTask(), Options);
+  std::string Log = ::testing::internal::GetCapturedStderr();
+  TrainResult Fresh = trainModel(sharedTask(), tinyTrainOptions());
+  EXPECT_FALSE(Resumed.Resumed);
+  EXPECT_NE(Log.find("[resume] ignoring checkpoint: " + Message),
+            std::string::npos)
+      << Log;
+  EXPECT_EQ(Resumed.BatchesRun, Fresh.BatchesRun);
+  EXPECT_TRUE(Resumed.Model->serialize() == Fresh.Model->serialize())
+      << "a rejected checkpoint leaked state into the fresh start";
+  std::remove(Path.c_str());
+}
+
+// Regression: the checkpoint reader used to decode straight into the live
+// loop state, RNGs, shuffle order and weights and only then find the
+// trailing byte, so the "fresh start" trained on from the clobbered model.
+TEST(CheckpointIntegrity, RejectedCheckpointLeavesAFreshStart) {
+  std::string Path = ::testing::TempDir() + "/robustness_trailing.ckpt";
+  writeEditedCheckpoint(
+      Path, [](std::vector<uint8_t> &Bytes) { Bytes.push_back(0); });
+  expectFreshStart(Path, "trailing bytes after checkpoint data");
+}
+
+// Regression: each shuffle-order index was only range-checked, so an order
+// that repeats an index resumed silently, training one sample twice per
+// epoch and another never.
+TEST(CheckpointIntegrity, NonPermutationOrderIsRejected) {
+  std::string Path = ::testing::TempDir() + "/robustness_order.ckpt";
+  // Payload layout: 16 u64 header fields, two 4-word RNG states, the order
+  // length at byte 192, then Order[0] at 200 and Order[1] at 208.
+  writeEditedCheckpoint(Path, [](std::vector<uint8_t> &Bytes) {
+    std::copy(Bytes.begin() + 200, Bytes.begin() + 208, Bytes.begin() + 208);
+  });
+  expectFreshStart(Path, "checkpoint shuffle order is not a permutation");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <set>
 
 namespace snowwhite {
@@ -435,7 +436,143 @@ TEST(Str, Padding) {
   EXPECT_EQ(padLeft("abcde", 4), "abcde");
 }
 
-// --- Byte-identity oracle -----------------------------------------------------
+// --- Record codec (io::ByteWriter / io::ByteReader) --------------------------
+
+/// One record of every shape the codec writes.
+std::vector<uint8_t> everyShape() {
+  std::vector<uint8_t> Out;
+  io::ByteWriter W(Out);
+  W.putU8(0xa5);
+  W.putU32(0x01020304u);
+  W.putU64(0x1122334455667788ULL);
+  W.putFloats({1.5f, -0.0f, 3.25e-7f});
+  W.putBytes("hello");
+  W.putBytes("");
+  return Out;
+}
+
+TEST(ByteCodec, WritesLittleEndianFixedWidths) {
+  std::vector<uint8_t> Out = everyShape();
+  ASSERT_EQ(Out.size(), 1u + 4 + 8 + 12 + 8 + 5 + 8);
+  EXPECT_EQ(Out[0], 0xa5);
+  EXPECT_EQ(std::vector<uint8_t>(Out.begin() + 1, Out.begin() + 5),
+            (std::vector<uint8_t>{0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(Out[5], 0x88);
+  EXPECT_EQ(Out[12], 0x11);
+  EXPECT_EQ(Out[25], 5u); // Length prefix of "hello".
+}
+
+TEST(ByteCodec, RoundTripsEveryShape) {
+  std::vector<uint8_t> Bytes = everyShape();
+  io::ByteReader R(Bytes);
+  uint8_t U8 = 0;
+  uint32_t U32 = 0;
+  uint64_t U64 = 0;
+  std::vector<float> Floats(3);
+  std::string Text, Empty = "x";
+  ASSERT_TRUE(R.readU8(U8));
+  ASSERT_TRUE(R.readU32(U32));
+  ASSERT_TRUE(R.readU64(U64));
+  ASSERT_TRUE(R.readFloats(Floats));
+  ASSERT_TRUE(R.readBytes(Text, 16).isOk());
+  ASSERT_TRUE(R.readBytes(Empty, 16).isOk());
+  EXPECT_EQ(U8, 0xa5);
+  EXPECT_EQ(U32, 0x01020304u);
+  EXPECT_EQ(U64, 0x1122334455667788ULL);
+  EXPECT_EQ(Floats, (std::vector<float>{1.5f, -0.0f, 3.25e-7f}));
+  EXPECT_TRUE(std::signbit(Floats[1]));
+  EXPECT_EQ(Text, "hello");
+  EXPECT_EQ(Empty, "");
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(R.remaining(), 0u);
+}
+
+// Every prefix of a valid record stream: the reads that fit succeed, the
+// first that does not fails without moving the cursor, and nothing reads
+// past the span (the asan preset checks the last part).
+TEST(ByteCodec, EveryTruncatedPrefixFailsCleanly) {
+  std::vector<uint8_t> Full = everyShape();
+  for (size_t Len = 0; Len < Full.size(); ++Len) {
+    std::vector<uint8_t> Prefix(Full.begin(),
+                                Full.begin() + static_cast<ptrdiff_t>(Len));
+    io::ByteReader R(Prefix.data(), Prefix.size());
+    uint8_t U8;
+    uint32_t U32;
+    uint64_t U64;
+    std::vector<float> Floats(3);
+    std::string Text;
+    std::vector<std::function<bool()>> Reads = {
+        [&] { return R.readU8(U8); },
+        [&] { return R.readU32(U32); },
+        [&] { return R.readU64(U64); },
+        [&] { return R.readFloats(Floats); },
+        [&] { return R.readBytes(Text, 16).isOk(); },
+        [&] { return R.readBytes(Text, 16).isOk(); }};
+    size_t Done = 0;
+    size_t Before = R.remaining();
+    while (Done < Reads.size() && Reads[Done]()) {
+      ++Done;
+      Before = R.remaining();
+    }
+    ASSERT_LT(Done, Reads.size()) << "prefix " << Len << " read in full";
+    EXPECT_EQ(R.remaining(), Before)
+        << "prefix " << Len << ": the failed read moved the cursor";
+    EXPECT_FALSE(R.skip(Before + 1));
+    EXPECT_EQ(R.remaining(), Before);
+  }
+}
+
+TEST(ByteCodec, LengthPrefixedReadsReportWhyTheyFail) {
+  std::vector<uint8_t> Bytes;
+  io::ByteWriter W(Bytes);
+  W.putBytes("abcdef");
+  std::string Out = "untouched";
+
+  io::ByteReader OverCap(Bytes);
+  Result<void> Capped = OverCap.readBytes(Out, 5);
+  ASSERT_TRUE(Capped.isErr());
+  EXPECT_EQ(Capped.error().code(), ErrorCode::LimitExceeded);
+  EXPECT_EQ(OverCap.remaining(), Bytes.size());
+  EXPECT_EQ(Out, "untouched");
+
+  io::ByteReader Overrun(Bytes.data(), Bytes.size() - 1);
+  Result<void> Short = Overrun.readBytes(Out, 16);
+  ASSERT_TRUE(Short.isErr());
+  EXPECT_EQ(Short.error().code(), ErrorCode::Truncated);
+  EXPECT_EQ(Overrun.remaining(), Bytes.size() - 1);
+
+  io::ByteReader NoLength(Bytes.data(), 7);
+  Result<void> Cut = NoLength.readBytes(Out, 16);
+  ASSERT_TRUE(Cut.isErr());
+  EXPECT_EQ(Cut.error().code(), ErrorCode::Truncated);
+
+  // The cap is checked before the overrun: a hostile length is refused as
+  // over the cap even when the buffer is short too.
+  std::vector<uint8_t> Hostile;
+  io::ByteWriter(Hostile).putU64(UINT64_MAX);
+  io::ByteReader HostileReader(Hostile);
+  EXPECT_EQ(HostileReader.readBytes(Out, 1u << 20).error().code(),
+            ErrorCode::LimitExceeded);
+
+  io::ByteReader Exact(Bytes);
+  ASSERT_TRUE(Exact.readBytes(Out, 6).isOk());
+  EXPECT_EQ(Out, "abcdef");
+}
+
+TEST(ByteCodec, SkipAndCursorTrackTheSpan) {
+  std::vector<uint8_t> Bytes = {1, 2, 3, 4};
+  io::ByteReader R(Bytes);
+  EXPECT_EQ(R.cursor(), Bytes.data());
+  EXPECT_TRUE(R.skip(3));
+  EXPECT_EQ(*R.cursor(), 4);
+  EXPECT_FALSE(R.skip(2));
+  EXPECT_TRUE(R.skip(1));
+  EXPECT_TRUE(R.atEnd());
+  uint8_t Byte;
+  EXPECT_FALSE(R.readU8(Byte));
+}
+
+// --- Byte-identity oracle ----------------------------------------------------
 //
 // Length and FNV-1a of the serialized bytes of four deterministic artifacts,
 // recorded from the encoder before the on-disk formats shared one codec.

@@ -42,8 +42,9 @@
 //       corrupted file is rejected with a taxonomy-coded error (usually
 //       ChecksumMismatch; Truncated/Malformed/Unsupported when the payload
 //       is corrupted under a freshly recomputed checksum) — never a crash,
-//       never a silent load. A resumed training run over a corrupt
-//       checkpoint must fall back to a fresh start, not abort.
+//       never a silent load. A resumed training run over a rejected
+//       checkpoint must fall back to a fresh start with the weights of a run
+//       that had no checkpoint, not abort.
 //
 //   snowwhite_fuzz --recovery-table [seed]
 //       Self-healing sweep for EXPERIMENTS.md: inject NaN gradients into a
@@ -629,8 +630,11 @@ int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
     return 1;
   }
 
+  // Checkpoint writes never feed back into training, so the run that wrote
+  // the checkpoint is also the fresh start a rejected resume must reproduce.
+  std::vector<uint8_t> FreshWeights = Trained.Model->serialize();
   uint64_t Tested = 0, Unchanged = 0, Rejected = 0, ResumesFreshStart = 0,
-           StructurallyValid = 0;
+           ResumesAccepted = 0, StructurallyValid = 0;
   std::map<std::string, uint64_t> ByCode;
 
   auto LoadModelMutant = [&](const std::vector<uint8_t> &Bytes) -> bool {
@@ -697,16 +701,27 @@ int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
         }
       } else {
         // The trainer's contract for a structurally broken checkpoint is
-        // fall-back-to-fresh-start, never a crash or a silent partial load.
+        // fall-back-to-fresh-start, never a crash or a partial load: a
+        // rejected resume must train exactly the fresh run's weights. A
+        // mutant confined to weights or loop state may resume.
         model::TrainOptions ResumeOpts = Fixture.Options;
         ResumeOpts.CheckpointPath = MutantPath;
         ResumeOpts.Resume = true;
-        ResumeOpts.MaxEpochs = 1;
         model::TrainResult Rerun =
             model::trainModel(*Fixture.BoundTask, ResumeOpts);
-        Ok = Rerun.Model != nullptr;
-        if (Ok)
+        Ok = true;
+        if (Rerun.Resumed) {
+          ++ResumesAccepted;
+        } else if (Rerun.Model->serialize() == FreshWeights) {
           ++ResumesFreshStart;
+        } else {
+          std::fprintf(stderr,
+                       "FAIL: iteration %llu (seed %llu) rejected checkpoint "
+                       "did not leave a fresh start\n",
+                       static_cast<unsigned long long>(I),
+                       static_cast<unsigned long long>(Seed));
+          return 1;
+        }
       }
     } else {
       Ok = TargetModel ? LoadModelMutant(Bytes) : LoadCkptMutant(Bytes);
@@ -724,12 +739,14 @@ int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
 
   std::printf("checkpoint fuzz: %llu mutants, 0 crashes, 0 silent loads\n"
               "  rejected             %llu\n"
-              "  resumes survived     %llu\n"
+              "  fresh-start resumes  %llu\n"
+              "  accepted resumes     %llu\n"
               "  rewrapped valid      %llu\n"
               "  identity mutations   %llu\n",
               static_cast<unsigned long long>(Tested),
               static_cast<unsigned long long>(Rejected),
               static_cast<unsigned long long>(ResumesFreshStart),
+              static_cast<unsigned long long>(ResumesAccepted),
               static_cast<unsigned long long>(StructurallyValid),
               static_cast<unsigned long long>(Unchanged));
   std::printf("  rejection codes:");
